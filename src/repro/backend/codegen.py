@@ -39,7 +39,7 @@ from repro.astnodes import (
 )
 from repro.backend.isa import PERMI_MAX
 from repro.config import CompilerConfig
-from repro.core.allocator import ProgramAllocation
+from repro.alloc import ProgramAllocation
 from repro.core.liveness import CodeAllocation
 from repro.core.locations import FrameSlot
 from repro.core.registers import Register

@@ -8,10 +8,11 @@ Submodules:
 * ``saveplace``     — save placement: lazy / lazy-simple / early / late (pass 1)
 * ``shuffle``       — greedy argument shuffling + comparison strategies (§2.3, §3.1)
 * ``restoreplace``  — redundant-save elimination + eager restores (pass 2, §3.2)
-* ``allocator``     — orchestration of the passes over a whole program
+
+The orchestration of the passes over a whole program lives in
+:mod:`repro.alloc`, which imports this package (never the reverse).
 """
 
 from repro.core.registers import Register, RegisterFile
-from repro.core.allocator import allocate_program
 
-__all__ = ["Register", "RegisterFile", "allocate_program"]
+__all__ = ["Register", "RegisterFile"]

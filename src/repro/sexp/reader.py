@@ -12,6 +12,7 @@ block comments (nestable).
 
 from __future__ import annotations
 
+import re
 from typing import Any, List, Optional
 
 from repro.sexp.datum import (
@@ -272,12 +273,22 @@ class _Reader:
         return _parse_atom(text, s)
 
 
+#: An integer literal ``int`` may refuse for its length alone.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_atom(text: str, stream: _Stream) -> Any:
     """Classify an atom as fixnum, flonum, or symbol."""
     try:
         return int(text)
     except ValueError:
-        pass
+        if _INTEGER.fullmatch(text):
+            # Past CPython's int-from-text digit limit, a process-wide
+            # setting a library must not change; decimal's exact
+            # conversion has no such limit.
+            from decimal import Decimal
+
+            return int(Decimal(text))
     if _looks_numeric(text):
         try:
             return float(text)

@@ -52,7 +52,10 @@ def _emit(datum: Any, write: bool, out: List[str]) -> None:
     elif datum is NIL:
         out.append("()")
     elif isinstance(datum, int):
-        out.append(str(datum))
+        try:
+            out.append(str(datum))
+        except ValueError:
+            out.append(_long_integer_text(datum))
     elif isinstance(datum, float):
         out.append(_format_flonum(datum))
     elif isinstance(datum, Symbol):
@@ -111,6 +114,15 @@ def _emit_pair(datum: Pair, write: bool, out: List[str]) -> None:
         out.append(" . ")
         _emit(node, write, out)
     out.append(")")
+
+
+def _long_integer_text(value: int) -> str:
+    """Digits of an integer past CPython's int-to-text limit, a
+    process-wide setting a library must not change; decimal's exact
+    conversion has no such limit."""
+    from decimal import Decimal
+
+    return str(Decimal(value))
 
 
 def _format_flonum(value: float) -> str:

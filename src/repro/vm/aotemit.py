@@ -6,14 +6,15 @@ importable Python source file:
 
 * every code object becomes a top-level :class:`~repro.vm.aotrt.AotCode`
   (``K0``, ``K1``, ...) carrying the runtime slice of the
-  ``CodeObject`` — name, arity, frame size, the classifier's static
-  flags;
+  ``CodeObject`` — name, parameter names, frame size, the
+  classifier's static flags;
 * every trace becomes a top-level function (``_t<code>_<pc>``), spliced
   verbatim from :func:`repro.vm.blockcompile.build_trace_module` with
   one shared const pool across all code objects;
 * const-pool bindings are spelled re-creatably: primitives by catalog
-  name, code objects as ``K`` references, datum immediates as their
-  written form re-read by :func:`repro.vm.aotrt.datum`;
+  name, code objects as ``K`` references, floats (only the non-finite
+  ones reach the pool) through ``float``, other datum immediates as
+  their written form re-read by :func:`repro.vm.aotrt.datum`;
 * each code's block table is a dict literal of
   ``leader_pc: (trace_fn, exits)`` — the same shape the in-process
   trampoline consumes, minus the ``None`` padding;
@@ -96,6 +97,10 @@ def _spell_const(value: Any, code_names: Dict[int, str],
         return "UNSPECIFIED"
     if value is NIL:
         return "NIL"
+    # `inf`/`nan` are not Python literals, and their written forms
+    # read back as symbols.
+    if type(value) is float:
+        return f"float({repr(value)!r})"
     # Everything else the trace generator refuses to spell inline is a
     # datum (symbols, quoted pairs, vectors, ...): the s-expression
     # writer/reader round-trip is exact — verified here at build time,
@@ -187,9 +192,10 @@ def emit_module_info(
 
     # -- code objects ---------------------------------------------------
     for i, code in enumerate(codes):
+        params = tuple(p.name for p in code.params)
         w(
             f"K{i} = AotCode({code.name!r}, {code.label!r}, "
-            f"{len(code.params)}, {code.frame_size}, "
+            f"{params!r}, {code.frame_size}, "
             f"{code.syntactic_leaf!r}, {code.always_calls!r})"
         )
     w("")
@@ -209,7 +215,7 @@ def emit_module_info(
     call_sites = 0
     direct_calls = 0
     for i, (code, tm) in enumerate(zip(codes, modules)):
-        w(f"K{i}.blocks = {{")
+        w(f"K{i}.fast_blocks = {{")
         for start, fn_name, exits in sorted(tm.records):
             spelled = []
             for j, ex in enumerate(exits):

@@ -39,7 +39,8 @@ instead of one bump per instruction.  Only branch mispredicts and
 continuation invokes are dynamic, and both are accounted by the
 trampoline (a taken-branch exit carries a flag).
 
-The trampoline (``Machine._run_fast``) executes a program as::
+The trampoline (:func:`repro.vm.aotrt.run_blocks`, shared by the
+in-process fast loop and AOT-emitted modules) executes a program as::
 
     fn, exits = blocks[pc]                      # one indexed fetch
     cycle, ex = fn(regs, ready, stack, sp, cycle, port)
@@ -73,10 +74,30 @@ output on budget-error paths.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.runtime.primitives import PRIMITIVES
 from repro.sexp.datum import NIL, Pair, UNSPECIFIED
+from repro.vm.aotrt import (
+    ACC_BRANCH,
+    ACC_CALL,
+    ACC_CC_CAP,
+    ACC_CLO,
+    ACC_MOV,
+    ACC_PRIM,
+    ACC_READS,
+    ACC_SWAP,
+    ACC_TAIL,
+    ACC_WRITES,
+    K_CALL,
+    K_CALLCC,
+    K_FALL,
+    K_HALT,
+    K_RET,
+    K_TAIL,
+    VMClosure,
+)
 from repro.vm.predecode import (
     OP_BRF,
     OP_BRT,
@@ -112,40 +133,10 @@ from repro.vm.predecode import (
     predecode_code,
 )
 
-# ---------------------------------------------------------------------------
-# Exit classes: how the trampoline continues after a trace returns.
-
-K_FALL = 0    # continue at `arg` (fallthrough, jump, or taken branch)
-K_CALL = 1    # non-tail call: `arg` is (argc, return_pc)
-K_TAIL = 2    # tail call: `arg` is argc
-K_CALLCC = 3  # continuation capture: `arg` is return_pc
-K_RET = 4     # procedure return
-K_HALT = 5    # program end
-
-# Accumulator slots shared between exit `counts` tuples and the
-# trampoline's 20-element `acc` list.  0-8 are scalar counters, 9-13
-# stack reads by kind, 14-18 stack writes by kind (kind order is
-# repro.vm.predecode.KIND_NAMES), 19 permutation instructions.
-ACC_PRIM = 0
-ACC_MOV = 1
-ACC_BRANCH = 2
-ACC_MISS = 3
-ACC_CALL = 4
-ACC_TAIL = 5
-ACC_CLO = 6
-ACC_CC_CAP = 7
-ACC_CC_INV = 8
-ACC_READS = 9
-ACC_WRITES = 14
-ACC_SWAP = 19
-ACC_SIZE = 20
-
 #: Soft cap on instructions inlined per trace.  Once exceeded, the
 #: trace ends at the next natural boundary (leader, branch, or jump)
 #: instead of continuing inline, bounding total code duplication.
 TRACE_LIMIT = 128
-
-_SAFE_IMMEDIATES = (int, float, str)
 
 #: Marker for "register operand, value unknown at compile time" in the
 #: prim-inlining operand lists (immediates carry their actual value).
@@ -289,10 +280,19 @@ class _TraceWriter:
             self.w("if t > cycle: cycle = t")
 
     def imm(self, value: Any) -> str:
+        """*value* as a source literal, or a const-pool name for what
+        ``repr`` cannot spell: non-scalar datums, ``inf``/``nan``, and
+        integers past CPython's int-to-text digit limit."""
         if value is None or value is True or value is False:
             return repr(value)
-        if type(value) in _SAFE_IMMEDIATES:
+        kind = type(value)
+        if kind is str or (kind is float and math.isfinite(value)):
             return repr(value)
+        if kind is int:
+            try:
+                return repr(value)
+            except ValueError:
+                pass
         return self.consts.ref(value)
 
     def ensure(self, idx_expr: str) -> None:
@@ -609,7 +609,7 @@ def _build_trace(
     records the proven callee of the closure-pointer register (or
     None) under ``(start, exit_index)`` — the AOT emitter collapses
     those sites into direct calls (see :mod:`repro.vm.aotemit`); the
-    in-process trampoline ignores them.
+    in-process fast loop ignores them.
     """
     exits: List[Tuple[int, Any, int, Tuple[Tuple[int, int], ...], bool]] = []
     ninstr = 0
@@ -818,8 +818,6 @@ def build_trace_module(
 
 def base_namespace() -> Dict[str, Any]:
     """The names every generated trace references beyond its consts."""
-    from repro.vm.aotrt import VMClosure
-
     return {
         "VMClosure": VMClosure,
         "Pair": Pair,

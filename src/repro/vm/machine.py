@@ -15,22 +15,15 @@ Two dispatch loops execute the same semantics:
   only loop with the poison-checking ``debug`` mode, and the baseline
   the fast path's speedup is measured against.
 * ``_run_fast`` — the **fast loop** (``CompilerConfig.vm_fast``, the
-  default): a block trampoline over the code compiled by
-  ``repro.vm.blockcompile`` from the pre-decoded, superinstruction-
-  fused stream (``repro.vm.predecode``).  Each basic block is one
-  generated straight-line Python function; the trampoline performs one
-  indexed fetch and one call per block, applies the block's static
-  counter deltas, and handles every control transfer (calls, returns,
-  branches, ``call/cc``) with byte-for-byte the legacy loop's
-  semantics.  Counter deltas accumulate in a local array (flushed
-  exactly at procedure transitions, so per-procedure profiles still
-  conserve).  Counters, cycles, values, output and profiles are
-  bit-identical to the legacy loop; ``tests/vm/test_predecode_equiv``
-  and the fuzz oracle's ``vm-fast`` invariant enforce that.  On an
-  error the fast loop's counters may lag the exact crash point by the
-  instructions since the last flush (the legacy loop's are live), and
-  the instruction budget is checked per block rather than per
-  instruction; no counter or output is compared on error paths.
+  default): the block trampoline :func:`repro.vm.aotrt.run_blocks`,
+  shared with AOT-emitted modules, over generated straight-line Python
+  functions, one per extended basic block, that ``repro.vm.blockcompile``
+  compiles from the pre-decoded, superinstruction-fused stream
+  (``repro.vm.predecode``) on each code object's first entry.
+  Counters, cycles, values, output and profiles are bit-identical to
+  the legacy loop (``tests/vm/test_predecode_equiv`` and the fuzz
+  oracle's ``vm-fast`` invariant enforce that); ``run_blocks``
+  documents its error-path relaxations.
 
 Both loops release oversized stacks: a deep-recursion phase can grow
 the stack list to hundreds of thousands of slots, and before this fix
@@ -63,22 +56,13 @@ from repro.vm.aotrt import (  # noqa: F401 - re-exported public API
     VMClosure,
     VMContinuation,
     VMError,
+    name_procedure,
+    run_blocks,
 )
-from repro.vm.blockcompile import (
-    ACC_READS,
-    ACC_SIZE,
-    ACC_SWAP,
-    ACC_WRITES,
-    K_CALL,
-    K_CALLCC,
-    K_FALL,
-    K_RET,
-    K_TAIL,
-    compile_blocks,
-)
+from repro.vm.blockcompile import compile_blocks
 from repro.vm.callgraph import ActivationClassifier
 from repro.vm.counters import Counters
-from repro.vm.predecode import KIND_INDEX, KIND_NAMES
+from repro.vm.predecode import KIND_NAMES
 
 
 class Machine:
@@ -122,23 +106,9 @@ class Machine:
     # ------------------------------------------------------------------
 
     def run(self) -> Any:
-        try:
-            if self.vm_fast:
-                return self._run_fast()
-            return self._run()
-        except SchemeError as exc:
-            # Annotate with the procedure that was executing (read from
-            # the interpreter loop's frame — zero cost on the hot path).
-            tb = exc.__traceback__
-            while tb is not None:
-                if tb.tb_frame.f_code.co_name in ("_run", "_run_fast"):
-                    code = tb.tb_frame.f_locals.get("code")
-                    if code is not None and " (in " not in exc.message:
-                        exc.message = f"{exc.message} (in {code.name})"
-                        exc.args = (exc.message,)
-                    break
-                tb = tb.tb_next
-            raise
+        if self.vm_fast:
+            return self._run_fast()
+        return self._run()
 
     def observe_metrics(self, registry) -> None:
         """Fold this run's counters into a metrics registry: run totals
@@ -195,7 +165,6 @@ class Machine:
         instrs = code.instructions
         pc = 0
         sp = 0
-        self._ensure = None  # appease linters; capacity handled inline
         classifier.on_call(code)
         if prof is not None:
             prof.start(code)
@@ -210,148 +179,248 @@ class Machine:
             for i in range(code.frame_size):
                 stack[i] = POISON
 
-        while True:
-            instr = instrs[pc]
-            op = instr[0]
-            executed += 1
-            cycle += 1
-            if max_instructions is not None and executed > max_instructions:
-                raise VMError("instruction budget exceeded")
-            pc += 1
+        try:
+            while True:
+                instr = instrs[pc]
+                op = instr[0]
+                executed += 1
+                cycle += 1
+                if max_instructions is not None and executed > max_instructions:
+                    raise VMError("instruction budget exceeded")
+                pc += 1
 
-            if op == "prim":
-                srcs = instr[3]
-                args = []
-                for s in srcs:
-                    if type(s) is int:
-                        t = ready[s]
-                        if t > cycle:
-                            cycle = t
-                        args.append(regs[s])
-                    else:
-                        args.append(s[1])
-                dst = instr[1]
-                regs[dst] = prims[instr[2]].fn(args, port)
-                ready[dst] = cycle
-                counters.prim_calls += 1
-            elif op == "mov":
-                src = instr[2]
-                t = ready[src]
-                if t > cycle:
-                    cycle = t
-                dst = instr[1]
-                regs[dst] = regs[src]
-                ready[dst] = cycle
-                counters.moves += 1
-            elif op == "swap":
-                ra = instr[1]
-                rb = instr[2]
-                t = ready[ra]
-                if t > cycle:
-                    cycle = t
-                t = ready[rb]
-                if t > cycle:
-                    cycle = t
-                regs[ra], regs[rb] = regs[rb], regs[ra]
-                ready[ra] = cycle
-                ready[rb] = cycle
-                counters.swaps += 1
-            elif op == "permi":
-                rs = instr[1]
-                for r in rs:
-                    t = ready[r]
+                if op == "prim":
+                    srcs = instr[3]
+                    args = []
+                    for s in srcs:
+                        if type(s) is int:
+                            t = ready[s]
+                            if t > cycle:
+                                cycle = t
+                            args.append(regs[s])
+                        else:
+                            args.append(s[1])
+                    dst = instr[1]
+                    regs[dst] = prims[instr[2]].fn(args, port)
+                    ready[dst] = cycle
+                    counters.prim_calls += 1
+                elif op == "mov":
+                    src = instr[2]
+                    t = ready[src]
                     if t > cycle:
                         cycle = t
-                vals = [regs[r] for r in rs]
-                k = len(rs)
-                for i, r in enumerate(rs):
-                    regs[r] = vals[(i + 1) % k]
-                    ready[r] = cycle
-                counters.swaps += 1
-            elif op == "li":
-                dst = instr[1]
-                regs[dst] = instr[2]
-                ready[dst] = cycle
-            elif op == "ld":
-                dst = instr[1]
-                value = stack[sp + instr[2]]
-                if debug and value is POISON:
-                    raise VMError(
-                        f"read of uninitialized frame slot {instr[2]} in "
-                        f"{code.label} (kind {instr[3]})"
-                    )
-                regs[dst] = value
-                ready[dst] = cycle + load_latency
-                counters.count_read(instr[3])
-            elif op == "st":
-                src = instr[2]
-                t = ready[src]
-                if t > cycle:
-                    cycle = t
-                stack[sp + instr[1]] = regs[src]
-                cycle += store_extra
-                counters.count_write(instr[3])
-            elif op == "st_out":
-                src = instr[2]
-                t = ready[src]
-                if t > cycle:
-                    cycle = t
-                idx = sp + code.frame_size + instr[1]
-                ensure_capacity(idx)
-                stack[idx] = regs[src]
-                cycle += store_extra
-                counters.count_write(instr[3])
-            elif op == "ld_out":
-                dst = instr[1]
-                idx = sp + code.frame_size + instr[2]
-                ensure_capacity(idx)
-                value = stack[idx]
-                if debug and value is POISON:
-                    raise VMError(
-                        f"read of uninitialized out slot {instr[2]} in {code.label}"
-                    )
-                regs[dst] = value
-                ready[dst] = cycle + load_latency
-                counters.count_read(instr[3])
-            elif op == "brf" or op == "brt":
-                src = instr[1]
-                t = ready[src]
-                if t > cycle:
-                    cycle = t
-                if op == "brf":
-                    taken = regs[src] is False
-                else:
-                    taken = regs[src] is not False
-                counters.branches += 1
-                if predict_mode is not None:
-                    # Static prediction: fall-through (not-taken) is
-                    # the predicted path; the allocator lays the
-                    # likely (call-free) branch on the fall-through.
-                    if taken:
-                        counters.mispredicts += 1
-                        cycle += penalty
-                if taken:
-                    pc = instr[2]
-            elif op == "jmp":
-                pc = instr[1]
-            elif op == "call":
-                callee = regs[CP]
-                cycle += call_overhead
-                counters.calls += 1
-                if type(callee) is VMClosure:
-                    target = callee.code
-                    if len(target.params) != instr[1]:
-                        raise SchemeError(
-                            f"{target.name}: expected {len(target.params)} "
-                            f"argument(s), got {instr[1]}"
+                    dst = instr[1]
+                    regs[dst] = regs[src]
+                    ready[dst] = cycle
+                    counters.moves += 1
+                elif op == "swap":
+                    ra = instr[1]
+                    rb = instr[2]
+                    t = ready[ra]
+                    if t > cycle:
+                        cycle = t
+                    t = ready[rb]
+                    if t > cycle:
+                        cycle = t
+                    regs[ra], regs[rb] = regs[rb], regs[ra]
+                    ready[ra] = cycle
+                    ready[rb] = cycle
+                    counters.swaps += 1
+                elif op == "permi":
+                    rs = instr[1]
+                    for r in rs:
+                        t = ready[r]
+                        if t > cycle:
+                            cycle = t
+                    vals = [regs[r] for r in rs]
+                    k = len(rs)
+                    for i, r in enumerate(rs):
+                        regs[r] = vals[(i + 1) % k]
+                        ready[r] = cycle
+                    counters.swaps += 1
+                elif op == "li":
+                    dst = instr[1]
+                    regs[dst] = instr[2]
+                    ready[dst] = cycle
+                elif op == "ld":
+                    dst = instr[1]
+                    value = stack[sp + instr[2]]
+                    if debug and value is POISON:
+                        raise VMError(
+                            f"read of uninitialized frame slot {instr[2]} in "
+                            f"{code.label} (kind {instr[3]})"
                         )
-                    regs[RET] = (code, pc)
+                    regs[dst] = value
+                    ready[dst] = cycle + load_latency
+                    counters.count_read(instr[3])
+                elif op == "st":
+                    src = instr[2]
+                    t = ready[src]
+                    if t > cycle:
+                        cycle = t
+                    stack[sp + instr[1]] = regs[src]
+                    cycle += store_extra
+                    counters.count_write(instr[3])
+                elif op == "st_out":
+                    src = instr[2]
+                    t = ready[src]
+                    if t > cycle:
+                        cycle = t
+                    idx = sp + code.frame_size + instr[1]
+                    ensure_capacity(idx)
+                    stack[idx] = regs[src]
+                    cycle += store_extra
+                    counters.count_write(instr[3])
+                elif op == "ld_out":
+                    dst = instr[1]
+                    idx = sp + code.frame_size + instr[2]
+                    ensure_capacity(idx)
+                    value = stack[idx]
+                    if debug and value is POISON:
+                        raise VMError(
+                            f"read of uninitialized out slot {instr[2]} in {code.label}"
+                        )
+                    regs[dst] = value
+                    ready[dst] = cycle + load_latency
+                    counters.count_read(instr[3])
+                elif op == "brf" or op == "brt":
+                    src = instr[1]
+                    t = ready[src]
+                    if t > cycle:
+                        cycle = t
+                    if op == "brf":
+                        taken = regs[src] is False
+                    else:
+                        taken = regs[src] is not False
+                    counters.branches += 1
+                    if predict_mode is not None:
+                        # Static prediction: fall-through (not-taken) is
+                        # the predicted path; the allocator lays the
+                        # likely (call-free) branch on the fall-through.
+                        if taken:
+                            counters.mispredicts += 1
+                            cycle += penalty
+                    if taken:
+                        pc = instr[2]
+                elif op == "jmp":
+                    pc = instr[1]
+                elif op == "call":
+                    callee = regs[CP]
+                    cycle += call_overhead
+                    counters.calls += 1
+                    if type(callee) is VMClosure:
+                        target = callee.code
+                        if len(target.params) != instr[1]:
+                            raise SchemeError(
+                                f"{target.name}: expected {len(target.params)} "
+                                f"argument(s), got {instr[1]}"
+                            )
+                        regs[RET] = (code, pc)
+                        new_sp = sp + code.frame_size
+                        ensure_capacity(new_sp + target.frame_size + 64)
+                        if debug:
+                            incoming = max(0, len(target.params) - num_arg_regs)
+                            for i in range(incoming, target.frame_size):
+                                stack[new_sp + i] = POISON
+                        sp = new_sp
+                        classifier.on_call(target)
+                        if prof is not None:
+                            prof.switch(target, cycle, executed)
+                        code = target
+                        instrs = code.instructions
+                        pc = 0
+                    elif type(callee) is VMContinuation:
+                        if instr[1] != 1:
+                            raise SchemeError("continuation expects exactly 1 value")
+                        if a0 is not None:
+                            value = regs[a0]
+                        else:
+                            value = stack[sp + code.frame_size]
+                        counters.continuations_invoked += 1
+                        classifier.unwind_to(callee.class_depth)
+                        stack = list(callee.snapshot)
+                        ensure_capacity(len(stack) + 64)
+                        sp = callee.sp
+                        regs[RV] = value
+                        ready[RV] = cycle
+                        if prof is not None:
+                            prof.resume(callee.code, cycle, executed)
+                        code = callee.code
+                        instrs = code.instructions
+                        pc = callee.pc
+                    else:
+                        raise SchemeError("attempt to apply a non-procedure", callee)
+                elif op == "tailcall":
+                    callee = regs[CP]
+                    cycle += call_overhead
+                    counters.tail_calls += 1
+                    if type(callee) is VMClosure:
+                        target = callee.code
+                        if len(target.params) != instr[1]:
+                            raise SchemeError(
+                                f"{target.name}: expected {len(target.params)} "
+                                f"argument(s), got {instr[1]}"
+                            )
+                        ensure_capacity(sp + target.frame_size + 64)
+                        if debug:
+                            incoming = max(0, len(target.params) - num_arg_regs)
+                            for i in range(incoming, target.frame_size):
+                                stack[sp + i] = POISON
+                        classifier.on_tail_call(target)
+                        if prof is not None:
+                            prof.switch(target, cycle, executed)
+                        code = target
+                        instrs = code.instructions
+                        pc = 0
+                    elif type(callee) is VMContinuation:
+                        if instr[1] != 1:
+                            raise SchemeError("continuation expects exactly 1 value")
+                        if a0 is not None:
+                            value = regs[a0]
+                        else:
+                            value = stack[sp]
+                        counters.continuations_invoked += 1
+                        classifier.unwind_to(callee.class_depth)
+                        stack = list(callee.snapshot)
+                        ensure_capacity(len(stack) + 64)
+                        sp = callee.sp
+                        regs[RV] = value
+                        ready[RV] = cycle
+                        if prof is not None:
+                            prof.resume(callee.code, cycle, executed)
+                        code = callee.code
+                        instrs = code.instructions
+                        pc = callee.pc
+                    else:
+                        raise SchemeError("attempt to apply a non-procedure", callee)
+                elif op == "callcc":
+                    fn = regs[CP]
+                    cycle += call_overhead
+                    counters.calls += 1
+                    counters.continuations_captured += 1
+                    if not (type(fn) is VMClosure):
+                        raise SchemeError("call/cc: not a procedure", fn)
+                    target = fn.code
+                    if len(target.params) != 1:
+                        raise SchemeError(
+                            f"call/cc receiver {target.name} must take 1 argument"
+                        )
                     new_sp = sp + code.frame_size
+                    k = VMContinuation(
+                        stack[:new_sp], sp, code, pc, len(classifier.stack)
+                    )
+                    regs[RET] = (code, pc)
                     ensure_capacity(new_sp + target.frame_size + 64)
                     if debug:
                         incoming = max(0, len(target.params) - num_arg_regs)
                         for i in range(incoming, target.frame_size):
                             stack[new_sp + i] = POISON
+                    if a0 is not None:
+                        regs[a0] = k
+                        ready[a0] = cycle
+                    else:
+                        stack[new_sp] = k
+                        counters.count_write("arg")
                     sp = new_sp
                     classifier.on_call(target)
                     if prof is not None:
@@ -359,162 +428,66 @@ class Machine:
                     code = target
                     instrs = code.instructions
                     pc = 0
-                elif type(callee) is VMContinuation:
-                    if instr[1] != 1:
-                        raise SchemeError("continuation expects exactly 1 value")
-                    if a0 is not None:
-                        value = regs[a0]
-                    else:
-                        value = stack[sp + code.frame_size]
-                    counters.continuations_invoked += 1
-                    classifier.unwind_to(callee.class_depth)
-                    stack = list(callee.snapshot)
-                    ensure_capacity(len(stack) + 64)
-                    sp = callee.sp
-                    regs[RV] = value
-                    ready[RV] = cycle
+                elif op == "return":
+                    addr = regs[RET]
+                    if addr is None:
+                        self.result = regs[RV]
+                        classifier.finish()
+                        break
+                    ret_code, ret_pc = addr
+                    old_sp = sp
+                    sp -= ret_code.frame_size
+                    if len(stack) > shrink_trigger and old_sp < len(stack) >> 2:
+                        # Low-water mark: the live prefix ends at old_sp
+                        # (the returning frame's base); everything above is
+                        # dead, so release the oversized tail.
+                        new_len = old_sp + headroom
+                        if new_len < min_capacity:
+                            new_len = min_capacity
+                        del stack[new_len:]
+                        shrinks += 1
+                    classifier.on_return()
                     if prof is not None:
-                        prof.resume(callee.code, cycle, executed)
-                    code = callee.code
+                        prof.resume(ret_code, cycle, executed)
+                    code = ret_code
                     instrs = code.instructions
-                    pc = callee.pc
-                else:
-                    raise SchemeError("attempt to apply a non-procedure", callee)
-            elif op == "tailcall":
-                callee = regs[CP]
-                cycle += call_overhead
-                counters.tail_calls += 1
-                if type(callee) is VMClosure:
-                    target = callee.code
-                    if len(target.params) != instr[1]:
-                        raise SchemeError(
-                            f"{target.name}: expected {len(target.params)} "
-                            f"argument(s), got {instr[1]}"
-                        )
-                    ensure_capacity(sp + target.frame_size + 64)
-                    if debug:
-                        incoming = max(0, len(target.params) - num_arg_regs)
-                        for i in range(incoming, target.frame_size):
-                            stack[sp + i] = POISON
-                    classifier.on_tail_call(target)
-                    if prof is not None:
-                        prof.switch(target, cycle, executed)
-                    code = target
-                    instrs = code.instructions
-                    pc = 0
-                elif type(callee) is VMContinuation:
-                    if instr[1] != 1:
-                        raise SchemeError("continuation expects exactly 1 value")
-                    if a0 is not None:
-                        value = regs[a0]
-                    else:
-                        value = stack[sp]
-                    counters.continuations_invoked += 1
-                    classifier.unwind_to(callee.class_depth)
-                    stack = list(callee.snapshot)
-                    ensure_capacity(len(stack) + 64)
-                    sp = callee.sp
-                    regs[RV] = value
-                    ready[RV] = cycle
-                    if prof is not None:
-                        prof.resume(callee.code, cycle, executed)
-                    code = callee.code
-                    instrs = code.instructions
-                    pc = callee.pc
-                else:
-                    raise SchemeError("attempt to apply a non-procedure", callee)
-            elif op == "callcc":
-                fn = regs[CP]
-                cycle += call_overhead
-                counters.calls += 1
-                counters.continuations_captured += 1
-                if not (type(fn) is VMClosure):
-                    raise SchemeError("call/cc: not a procedure", fn)
-                target = fn.code
-                if len(target.params) != 1:
-                    raise SchemeError(
-                        f"call/cc receiver {target.name} must take 1 argument"
-                    )
-                new_sp = sp + code.frame_size
-                k = VMContinuation(
-                    stack[:new_sp], sp, code, pc, len(classifier.stack)
-                )
-                regs[RET] = (code, pc)
-                ensure_capacity(new_sp + target.frame_size + 64)
-                if debug:
-                    incoming = max(0, len(target.params) - num_arg_regs)
-                    for i in range(incoming, target.frame_size):
-                        stack[new_sp + i] = POISON
-                if a0 is not None:
-                    regs[a0] = k
-                    ready[a0] = cycle
-                else:
-                    stack[new_sp] = k
-                    counters.count_write("arg")
-                sp = new_sp
-                classifier.on_call(target)
-                if prof is not None:
-                    prof.switch(target, cycle, executed)
-                code = target
-                instrs = code.instructions
-                pc = 0
-            elif op == "return":
-                addr = regs[RET]
-                if addr is None:
+                    pc = ret_pc
+                elif op == "clo_ref":
+                    dst = instr[1]
+                    regs[dst] = regs[CP].slots[instr[2]]
+                    ready[dst] = cycle
+                elif op == "closure":
+                    srcs = instr[3]
+                    values = []
+                    for s in srcs:
+                        t = ready[s]
+                        if t > cycle:
+                            cycle = t
+                        values.append(regs[s])
+                    dst = instr[1]
+                    regs[dst] = VMClosure(instr[2], values)
+                    ready[dst] = cycle
+                    counters.closure_allocs += 1
+                elif op == "clo_alloc":
+                    dst = instr[1]
+                    regs[dst] = VMClosure(instr[2], [None] * instr[3])
+                    ready[dst] = cycle
+                    counters.closure_allocs += 1
+                elif op == "clo_set":
+                    src = instr[3]
+                    t = ready[src]
+                    if t > cycle:
+                        cycle = t
+                    regs[instr[1]].slots[instr[2]] = regs[src]
+                elif op == "halt":
                     self.result = regs[RV]
                     classifier.finish()
                     break
-                ret_code, ret_pc = addr
-                old_sp = sp
-                sp -= ret_code.frame_size
-                if len(stack) > shrink_trigger and old_sp < len(stack) >> 2:
-                    # Low-water mark: the live prefix ends at old_sp
-                    # (the returning frame's base); everything above is
-                    # dead, so release the oversized tail.
-                    new_len = old_sp + headroom
-                    if new_len < min_capacity:
-                        new_len = min_capacity
-                    del stack[new_len:]
-                    shrinks += 1
-                classifier.on_return()
-                if prof is not None:
-                    prof.resume(ret_code, cycle, executed)
-                code = ret_code
-                instrs = code.instructions
-                pc = ret_pc
-            elif op == "clo_ref":
-                dst = instr[1]
-                regs[dst] = regs[CP].slots[instr[2]]
-                ready[dst] = cycle
-            elif op == "closure":
-                srcs = instr[3]
-                values = []
-                for s in srcs:
-                    t = ready[s]
-                    if t > cycle:
-                        cycle = t
-                    values.append(regs[s])
-                dst = instr[1]
-                regs[dst] = VMClosure(instr[2], values)
-                ready[dst] = cycle
-                counters.closure_allocs += 1
-            elif op == "clo_alloc":
-                dst = instr[1]
-                regs[dst] = VMClosure(instr[2], [None] * instr[3])
-                ready[dst] = cycle
-                counters.closure_allocs += 1
-            elif op == "clo_set":
-                src = instr[3]
-                t = ready[src]
-                if t > cycle:
-                    cycle = t
-                regs[instr[1]].slots[instr[2]] = regs[src]
-            elif op == "halt":
-                self.result = regs[RV]
-                classifier.finish()
-                break
-            else:  # pragma: no cover - closed opcode set
-                raise VMError(f"unknown opcode {op}")
+                else:  # pragma: no cover - closed opcode set
+                    raise VMError(f"unknown opcode {op}")
+        except SchemeError as exc:
+            name_procedure(exc, code)
+            raise
 
         counters.instructions = executed
         counters.cycles = cycle
@@ -527,303 +500,31 @@ class Machine:
     # ------------------------------------------------------------------
 
     def _run_fast(self) -> Any:
-        """The trace-compiled fast loop (``repro.vm.blockcompile``).
-
-        Same observable semantics as :meth:`_run`: one indexed fetch
-        and one generated-function call per trace, with every control
-        transfer handled here exactly as the legacy loop does.  See
-        the blockcompile module docstring for what makes it fast.
-        """
+        """The fast loop: :func:`repro.vm.aotrt.run_blocks` over trace
+        tables that :func:`compile_blocks` builds on first entry to each
+        code object (see the blockcompile module docstring for what
+        makes them fast)."""
+        regfile = self.regfile
         cm = self.config.cost_model
-        call_overhead = cm.call_overhead
-        predict = self.config.branch_prediction is not None
-        penalty = cm.branch_mispredict_penalty
-        counters = self.counters
-        classifier = self.classifier
-        prof = self.profiler
-        port = self.port
-        nregs = len(self.regfile)
-        num_arg_regs = self.regfile.num_arg_regs
-        a0 = self.regfile.arg_regs[0].index if num_arg_regs else None
-        RET = self.regfile.ret.index
-        CP = self.regfile.cp.index
-        RV = self.regfile.rv.index
-        ARG_WRITE_SLOT = ACC_WRITES + KIND_INDEX["arg"]
-        shrink_trigger = STACK_SHRINK_TRIGGER
-        min_capacity = STACK_MIN_CAPACITY
-        headroom = STACK_HEADROOM
-
-        regs: List[Any] = [None] * nregs
-        ready = [0] * nregs
-        stack: List[Any] = [None] * 256
-        cycle = 0
-        executed = 0
-        shrinks = 0
-        budget = self.max_instructions
-        if budget is None:
-            budget = 1 << 62
-
-        # Counter accumulators, one slot per blockcompile ACC_* index.
-        # Exits carry static (slot, delta) pairs; flush_counters
-        # empties the array into `counters` exactly where the profiler
-        # (or the caller) can observe them, so conservation holds.
-        acc = [0] * ACC_SIZE
-
-        def flush_counters() -> None:
-            if acc[0]:
-                counters.prim_calls += acc[0]
-                acc[0] = 0
-            if acc[1]:
-                counters.moves += acc[1]
-                acc[1] = 0
-            if acc[2]:
-                counters.branches += acc[2]
-                acc[2] = 0
-            if acc[3]:
-                counters.mispredicts += acc[3]
-                acc[3] = 0
-            if acc[4]:
-                counters.calls += acc[4]
-                acc[4] = 0
-            if acc[5]:
-                counters.tail_calls += acc[5]
-                acc[5] = 0
-            if acc[6]:
-                counters.closure_allocs += acc[6]
-                acc[6] = 0
-            if acc[7]:
-                counters.continuations_captured += acc[7]
-                acc[7] = 0
-            if acc[8]:
-                counters.continuations_invoked += acc[8]
-                acc[8] = 0
-            if acc[ACC_SWAP]:
-                counters.swaps += acc[ACC_SWAP]
-                acc[ACC_SWAP] = 0
-            reads = counters.stack_reads
-            for i in range(5):
-                n = acc[ACC_READS + i]
-                if n:
-                    kind = KIND_NAMES[i]
-                    reads[kind] = reads.get(kind, 0) + n
-                    acc[ACC_READS + i] = 0
-            writes = counters.stack_writes
-            for i in range(5):
-                n = acc[ACC_WRITES + i]
-                if n:
-                    kind = KIND_NAMES[i]
-                    writes[kind] = writes.get(kind, 0) + n
-                    acc[ACC_WRITES + i] = 0
-
-        code = self.compiled.entry
-        frame_size = code.frame_size
-        blocks = code.fast_blocks
-        if blocks is None:
-            blocks = compile_blocks(code, cm, CP)
-        pc = 0
-        sp = 0
-        classifier.on_call(code)
-        if prof is not None:
-            prof.start(code)
-
-        limit = frame_size + 64
-        if limit >= len(stack):
-            stack.extend([None] * (limit - len(stack) + 256))
-
-        while True:
-            fn, exits = blocks[pc]
-            cycle, ex = fn(regs, ready, stack, sp, cycle, port)
-            kind, barg, nexec, counts, taken = exits[ex]
-            executed += nexec
-            if executed > budget:
-                raise VMError("instruction budget exceeded")
-            if counts:
-                for slot, delta in counts:
-                    acc[slot] += delta
-            if taken:
-                if predict:
-                    # Static prediction: fall-through (not-taken) is
-                    # the predicted path; the allocator lays the likely
-                    # (call-free) branch on the fall-through.
-                    acc[3] += 1
-                    cycle += penalty
-
-            if kind == K_FALL:
-                pc = barg
-            elif kind == K_CALL:
-                cycle += call_overhead
-                callee = regs[CP]
-                if type(callee) is VMClosure:
-                    target = callee.code
-                    if len(target.params) != barg[0]:
-                        raise SchemeError(
-                            f"{target.name}: expected {len(target.params)} "
-                            f"argument(s), got {barg[0]}"
-                        )
-                    regs[RET] = (code, barg[1])
-                    new_sp = sp + frame_size
-                    limit = new_sp + target.frame_size + 64
-                    if limit >= len(stack):
-                        stack.extend([None] * (limit - len(stack) + 256))
-                    sp = new_sp
-                    classifier.on_call(target)
-                    if prof is not None:
-                        flush_counters()
-                        prof.switch(target, cycle, executed)
-                    code = target
-                    frame_size = target.frame_size
-                    blocks = target.fast_blocks
-                    if blocks is None:
-                        blocks = compile_blocks(target, cm, CP)
-                    pc = 0
-                elif type(callee) is VMContinuation:
-                    if barg[0] != 1:
-                        raise SchemeError("continuation expects exactly 1 value")
-                    if a0 is not None:
-                        value = regs[a0]
-                    else:
-                        value = stack[sp + frame_size]
-                    acc[8] += 1
-                    classifier.unwind_to(callee.class_depth)
-                    stack = list(callee.snapshot)
-                    stack.extend([None] * 320)
-                    sp = callee.sp
-                    regs[RV] = value
-                    ready[RV] = cycle
-                    if prof is not None:
-                        flush_counters()
-                        prof.resume(callee.code, cycle, executed)
-                    code = callee.code
-                    frame_size = code.frame_size
-                    blocks = code.fast_blocks
-                    if blocks is None:
-                        blocks = compile_blocks(code, cm, CP)
-                    pc = callee.pc
-                else:
-                    raise SchemeError("attempt to apply a non-procedure", callee)
-            elif kind == K_RET:
-                addr = regs[RET]
-                if addr is None:
-                    self.result = regs[RV]
-                    classifier.finish()
-                    break
-                ret_code, ret_pc = addr
-                old_sp = sp
-                sp -= ret_code.frame_size
-                if len(stack) > shrink_trigger and old_sp < len(stack) >> 2:
-                    # Low-water mark: the live prefix ends at old_sp
-                    # (the returning frame's base); everything above is
-                    # dead, so release the oversized tail.
-                    new_len = old_sp + headroom
-                    if new_len < min_capacity:
-                        new_len = min_capacity
-                    del stack[new_len:]
-                    shrinks += 1
-                classifier.on_return()
-                if prof is not None:
-                    flush_counters()
-                    prof.resume(ret_code, cycle, executed)
-                code = ret_code
-                frame_size = ret_code.frame_size
-                blocks = ret_code.fast_blocks
-                if blocks is None:
-                    blocks = compile_blocks(ret_code, cm, CP)
-                pc = ret_pc
-            elif kind == K_TAIL:
-                cycle += call_overhead
-                callee = regs[CP]
-                if type(callee) is VMClosure:
-                    target = callee.code
-                    if len(target.params) != barg:
-                        raise SchemeError(
-                            f"{target.name}: expected {len(target.params)} "
-                            f"argument(s), got {barg}"
-                        )
-                    limit = sp + target.frame_size + 64
-                    if limit >= len(stack):
-                        stack.extend([None] * (limit - len(stack) + 256))
-                    classifier.on_tail_call(target)
-                    if prof is not None:
-                        flush_counters()
-                        prof.switch(target, cycle, executed)
-                    code = target
-                    frame_size = target.frame_size
-                    blocks = target.fast_blocks
-                    if blocks is None:
-                        blocks = compile_blocks(target, cm, CP)
-                    pc = 0
-                elif type(callee) is VMContinuation:
-                    if barg != 1:
-                        raise SchemeError("continuation expects exactly 1 value")
-                    if a0 is not None:
-                        value = regs[a0]
-                    else:
-                        value = stack[sp]
-                    acc[8] += 1
-                    classifier.unwind_to(callee.class_depth)
-                    stack = list(callee.snapshot)
-                    stack.extend([None] * 320)
-                    sp = callee.sp
-                    regs[RV] = value
-                    ready[RV] = cycle
-                    if prof is not None:
-                        flush_counters()
-                        prof.resume(callee.code, cycle, executed)
-                    code = callee.code
-                    frame_size = code.frame_size
-                    blocks = code.fast_blocks
-                    if blocks is None:
-                        blocks = compile_blocks(code, cm, CP)
-                    pc = callee.pc
-                else:
-                    raise SchemeError("attempt to apply a non-procedure", callee)
-            elif kind == K_CALLCC:
-                cycle += call_overhead
-                callee = regs[CP]
-                if not (type(callee) is VMClosure):
-                    raise SchemeError("call/cc: not a procedure", callee)
-                target = callee.code
-                if len(target.params) != 1:
-                    raise SchemeError(
-                        f"call/cc receiver {target.name} must take 1 argument"
-                    )
-                new_sp = sp + frame_size
-                k = VMContinuation(
-                    stack[:new_sp], sp, code, barg, len(classifier.stack)
-                )
-                regs[RET] = (code, barg)
-                limit = new_sp + target.frame_size + 64
-                if limit >= len(stack):
-                    stack.extend([None] * (limit - len(stack) + 256))
-                if a0 is not None:
-                    regs[a0] = k
-                    ready[a0] = cycle
-                else:
-                    stack[new_sp] = k
-                    acc[ARG_WRITE_SLOT] += 1
-                sp = new_sp
-                classifier.on_call(target)
-                if prof is not None:
-                    flush_counters()
-                    prof.switch(target, cycle, executed)
-                code = target
-                frame_size = target.frame_size
-                blocks = target.fast_blocks
-                if blocks is None:
-                    blocks = compile_blocks(target, cm, CP)
-                pc = 0
-            else:  # K_HALT
-                self.result = regs[RV]
-                classifier.finish()
-                break
-
-        flush_counters()
-        counters.instructions = executed
-        counters.cycles = cycle
-        self.stack_capacity = len(stack)
-        self.stack_shrinks = shrinks
-        if prof is not None:
-            prof.finish(cycle, executed)
+        cp = regfile.cp.index
+        self.result, self.stack_capacity, self.stack_shrinks = run_blocks(
+            self.compiled.entry,
+            lambda code: compile_blocks(code, cm, cp),
+            nregs=len(regfile),
+            a0=regfile.arg_regs[0].index if regfile.num_arg_regs else None,
+            ret=regfile.ret.index,
+            cp=cp,
+            rv=regfile.rv.index,
+            kind_names=KIND_NAMES,
+            call_overhead=cm.call_overhead,
+            predict=self.config.branch_prediction is not None,
+            penalty=cm.branch_mispredict_penalty,
+            counters=self.counters,
+            classifier=self.classifier,
+            port=self.port,
+            profiler=self.profiler,
+            max_instructions=self.max_instructions,
+        )
         return self.result
 
     @property

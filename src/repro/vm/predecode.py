@@ -13,9 +13,9 @@ This module converts each :class:`~repro.astnodes.CodeObject`'s
 instruction list once, at first execution, into a flat tuple stream.
 It is the front half of the fast path: ``repro.vm.blockcompile``
 consumes the decoded stream and compiles each extended basic block
-into one generated Python function, which ``Machine._run_fast``
-trampolines between.  The decoded form is what makes that codegen
-simple:
+into one generated Python function, which the block trampoline
+(:func:`repro.vm.aotrt.run_blocks`) calls one after another.  The
+decoded form is what makes that codegen simple:
 
 * opcodes become small ints (the ``OP_*`` constants below), so the
   trace compiler switches on an int tag;
@@ -49,9 +49,7 @@ from repro.backend.isa import STACK_KINDS
 from repro.backend.peephole import fuse_superinstructions
 from repro.runtime.primitives import PRIMITIVES
 
-# Fast-path opcodes.  Values are arbitrary but stable within a process;
-# the dispatch chain in Machine._run_fast orders comparisons by dynamic
-# frequency, not by value.
+# Fast-path opcodes.  Values are arbitrary but stable within a process.
 OP_LD = 0
 OP_ST = 1
 OP_MOV = 2

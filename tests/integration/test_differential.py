@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import CompilerConfig
-from tests.conftest import CONFIG_MATRIX, assert_compiles_like_interpreter
+from repro.fuzz.genprog import ProgramGenerator
+from repro.pipeline import run_source
+from repro.sexp.writer import write_datum
+from tests.conftest import CONFIG_MATRIX, assert_compiles_like_interpreter, interp_value
 
 PROGRAMS = [
     "(define (fact n) (if (zero? n) 1 (* n (fact (- n 1))))) (fact 10)",
@@ -128,3 +131,13 @@ def test_random_programs(source, config_index):
     assert_compiles_like_interpreter(
         source, _SAMPLED_CONFIGS[config_index], prelude=False
     )
+
+
+def test_generated_bignum_result():
+    """Program 94 of ``ProgramGenerator(1)`` returns an integer past
+    CPython's 4300-digit int-to-text limit; the default fast path must
+    print it exactly as the interpreter's value prints."""
+    source = ProgramGenerator(1).generate(94).source
+    expected = write_datum(interp_value(source))
+    assert len(expected) > 4300
+    assert write_datum(run_source(source).value) == expected

@@ -285,6 +285,10 @@ class TestStringsChars:
     def test_number_to_string(self):
         assert call("number->string", 42).text == "42"
 
+    def test_number_to_string_past_the_int_digit_limit(self):
+        sevens = (10**5000 - 1) // 9 * 7
+        assert call("number->string", sevens).text == "7" * 5000
+
     def test_string_to_list(self):
         chars = pairs_to_list(call("string->list", MutableString("ab")))
         assert chars == [Char("a"), Char("b")]

@@ -25,6 +25,13 @@ class TestAtoms:
     def test_flonum_exponent(self):
         assert read("1e3") == 1000.0
 
+    def test_integer_past_the_int_digit_limit(self):
+        # 5000 digits is past CPython's default int-from-text limit;
+        # the literal must read as that integer, not as the float inf.
+        sevens = (10**5000 - 1) // 9 * 7
+        assert read("7" * 5000) == sevens
+        assert read("-" + "7" * 5000) == -sevens
+
     def test_symbol(self):
         assert read("foo") is Symbol("foo")
 

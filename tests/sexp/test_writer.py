@@ -66,6 +66,13 @@ class TestWrite:
     def test_unspecified(self):
         assert write_datum(UNSPECIFIED) == "#<void>"
 
+    def test_integer_past_the_int_digit_limit(self):
+        # 5000 digits is past CPython's default int-to-text limit.
+        sevens = (10**5000 - 1) // 9 * 7
+        assert write_datum(sevens) == "7" * 5000
+        assert display_datum(-sevens) == "-" + "7" * 5000
+        assert read(write_datum(sevens)) == sevens
+
 
 class TestDisplay:
     def test_string_unquoted(self):

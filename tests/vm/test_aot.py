@@ -18,7 +18,6 @@ import sys
 import pytest
 
 import repro.vm.aotrt as aotrt
-import repro.vm.blockcompile as blockcompile
 from repro.benchsuite.programs import BENCHMARKS
 from repro.config import CompilerConfig
 from repro.errors import CompilerError
@@ -26,9 +25,11 @@ from repro.fuzz.genprog import generate_program
 from repro.pipeline import compile_source, run_compiled
 from repro.runtime.values import SchemeError
 from repro.sexp.writer import write_datum
+from repro.vm.artifact import build_artifact, load_artifact
 from repro.vm.machine import VMError
 from repro.vm.aotemit import EmitInfo, emit_module, emit_module_info
-from repro.vm.predecode import KIND_NAMES
+from tests.vm import test_machine
+from tests.vm.test_predecode_equiv import UNSPELLABLE_LITERALS
 
 BENCH_NAMES = sorted(n for n, b in BENCHMARKS.items() if not b.heavy)
 
@@ -68,6 +69,49 @@ def assert_aot_equivalent(compiled, tmp_path, name):
     assert result.output == reference.output
     assert result.counters.as_dict() == reference.counters.as_dict()
     assert result.classifier.counts == reference.classifier.counts
+    assert result.stack_capacity == reference.machine.stack_capacity
+    assert result.stack_shrinks == reference.machine.stack_shrinks
+
+
+def test_deep_recursion_stack_release_aot_equivalence(tmp_path):
+    # A deep recursion, then a leaf loop: the stack grows to ~20000
+    # frames and is released at the returns.
+    source = test_machine.TestStackShrink.SOURCE
+    compiled = compile_source(source, CompilerConfig(), prelude=False)
+    assert run_compiled(compiled).machine.stack_shrinks >= 1
+    assert_aot_equivalent(compiled, tmp_path, "deep")
+
+
+def test_scheme_error_names_procedure_on_every_path(tmp_path):
+    compiled = compile_source("(define (f x) (car x)) (f 5)")
+    module = _import_emitted(emit_module(compiled, "err"), tmp_path, "err")
+    messages = []
+    for run in (
+        lambda: run_compiled(compiled, vm_fast=False),
+        lambda: run_compiled(compiled, vm_fast=True),
+        module.run,
+    ):
+        with pytest.raises(SchemeError) as info:
+            run()
+        messages.append(str(info.value))
+    assert messages == ["car: not a pair (in f)"] * 3
+
+
+@pytest.mark.parametrize(
+    "source", UNSPELLABLE_LITERALS, ids=["inf", "neg-inf", "nan", "bignum"]
+)
+def test_unspellable_literals_on_every_path(source, tmp_path):
+    """``inf``/``nan`` have no Python literal and their written forms
+    read back as symbols; a 5000-digit integer has no ``repr``: the
+    fast loop, an artifact reload, and the emitted module must all
+    return the legacy loop's value."""
+    compiled = compile_source(source)
+    expected = write_datum(run_compiled(compiled, vm_fast=False).value)
+    assert write_datum(run_compiled(compiled, vm_fast=True).value) == expected
+    reloaded = load_artifact(build_artifact(compiled))
+    assert write_datum(run_compiled(reloaded).value) == expected
+    module = _import_emitted(emit_module(compiled, "literal"), tmp_path, "literal")
+    assert write_datum(module.run().value) == expected
 
 
 @pytest.mark.parametrize("name", BENCH_NAMES)
@@ -144,20 +188,3 @@ def test_emitted_module_runs_without_compiler(tmp_path):
     for banned in COMPILER_MODULES:
         hits = [m for m in loaded if m == banned or m.startswith(banned + ".")]
         assert not hits, f"compiler module leaked into the AOT runtime: {hits}"
-
-
-def test_runtime_constants_stay_in_sync():
-    """``aotrt`` duplicates the trace-protocol constants so emitted
-    modules never import the compiler; this pins the two copies (and
-    the kind-name table the counters use) together."""
-    for name in (
-        "K_FALL", "K_CALL", "K_TAIL", "K_CALLCC", "K_RET", "K_HALT",
-        "ACC_PRIM", "ACC_MOV", "ACC_BRANCH", "ACC_MISS", "ACC_CALL",
-        "ACC_TAIL", "ACC_CLO", "ACC_CC_CAP", "ACC_CC_INV",
-        "ACC_READS", "ACC_WRITES", "ACC_SWAP", "ACC_SIZE",
-    ):
-        assert getattr(aotrt, name) == getattr(blockcompile, name), name
-    # The direct kinds exist only on the AOT side, above the shared ones.
-    assert aotrt.K_CALL_DIRECT == aotrt.K_HALT + 1
-    assert aotrt.K_TAIL_DIRECT == aotrt.K_HALT + 2
-    assert tuple(KIND_NAMES) == ("save", "restore", "spill", "arg", "temp")

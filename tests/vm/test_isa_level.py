@@ -5,7 +5,7 @@ import pytest
 from repro.astnodes import CodeObject, Program, Quote
 from repro.backend.codegen import CompiledProgram
 from repro.config import CompilerConfig, CostModel
-from repro.core.allocator import ProgramAllocation
+from repro.alloc import ProgramAllocation
 from repro.core.registers import RegisterFile
 from repro.runtime.values import SchemeError
 from repro.vm.machine import Machine, VMError

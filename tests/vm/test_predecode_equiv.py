@@ -71,6 +71,24 @@ def test_benchmark_equivalence_config_spread(config):
         assert_equivalent(compiled)
 
 
+#: Immediates ``repr`` cannot spell as Python source, which reach the
+#: traces through the const pool: ``inf``/``nan`` and an integer past
+#: CPython's int-to-text digit limit.
+UNSPELLABLE_LITERALS = [
+    "(+ 1e999 0)",
+    "(- -1e999)",
+    "(let ((x 1e999)) (list x (- x x)))",
+    "(+ " + "7" * 5000 + " 1)",
+]
+
+
+@pytest.mark.parametrize(
+    "source", UNSPELLABLE_LITERALS, ids=["inf", "neg-inf", "nan", "bignum"]
+)
+def test_unspellable_literal_equivalence(source):
+    assert_equivalent(compile_source(source))
+
+
 @pytest.mark.parametrize("index", range(FUZZ_COUNT))
 def test_fuzz_program_equivalence(index):
     program = generate_program(FUZZ_SEED, index)
