@@ -830,59 +830,47 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    if args.stdio and args.tcp:
-        print("repro: serve: pick one of --stdio / --tcp", file=sys.stderr)
-        return 2
-    if args.tcp:
-        from repro.config import ServeConfig
-        from repro.serve.net import serve_tcp
+    from repro.config import ServeConfig
 
-        try:
-            host, port = ServeConfig.parse_address(args.tcp)
-            serve_config = ServeConfig(
-                host=host,
-                port=port,
-                max_clients=args.max_clients,
-                max_pending_per_tenant=args.max_pending_per_tenant,
-                max_pending_total=args.max_pending,
-                drain_grace_s=args.drain_grace,
-                dedup=not args.no_dedup,
-                cache_shards=args.cache_shards,
-            )
-        except ValueError as exc:
-            print(f"repro: serve: {exc}", file=sys.stderr)
-            return 2
-        return serve_tcp(
-            host=host,
-            port=port,
-            jobs=args.jobs,
-            cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-            disk_cache=not args.memory_cache,
-            artifacts=not args.no_artifacts,
-            serve_config=serve_config,
-            metrics_out=_metrics_out_path(args),
-            flight_dir=args.flight_dir,
-            trace_dir=args.trace_dir,
-            trace_sample=args.trace_sample,
-        )
-    if not args.stdio:
-        print("repro: serve: give a transport: --stdio or --tcp HOST:PORT",
+    if args.stdio == bool(args.tcp):
+        print("repro: serve: give one transport: --stdio or --tcp HOST:PORT",
               file=sys.stderr)
         return 2
-    from repro.serve.stdio import serve_stdio
-
-    return serve_stdio(
+    try:
+        host, port = (
+            ServeConfig.parse_address(args.tcp) if args.tcp else ("127.0.0.1", 0)
+        )
+        serve_config = ServeConfig(
+            host=host,
+            port=port,
+            max_clients=args.max_clients,
+            max_pending_per_tenant=args.max_pending_per_tenant,
+            max_pending_total=args.max_pending,
+            drain_grace_s=args.drain_grace,
+            dedup=not args.no_dedup,
+        )
+    except ValueError as exc:
+        print(f"repro: serve: {exc}", file=sys.stderr)
+        return 2
+    options = dict(
         jobs=args.jobs,
         cache=not args.no_cache,
         cache_dir=args.cache_dir,
         disk_cache=not args.memory_cache,
         artifacts=not args.no_artifacts,
+        serve_config=serve_config,
         metrics_out=_metrics_out_path(args),
         flight_dir=args.flight_dir,
         trace_dir=args.trace_dir,
         trace_sample=args.trace_sample,
     )
+    if args.tcp:
+        from repro.serve.net import serve_tcp
+
+        return serve_tcp(host=host, port=port, **options)
+    from repro.serve.stdio import serve_stdio
+
+    return serve_stdio(**options)
 
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
@@ -1586,7 +1574,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes (default: 1; requests still run out of process)",
     )
-    farm = p_serve.add_argument_group("front door limits (--tcp)")
+    farm = p_serve.add_argument_group(
+        "daemon limits (--max-clients is --tcp only)"
+    )
     farm.add_argument(
         "--max-clients", type=int, default=128, metavar="N",
         help="concurrent TCP connections (default: 128)",
@@ -1609,10 +1599,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-dedup",
         action="store_true",
         help="disable single-flight dedup of identical in-flight requests",
-    )
-    farm.add_argument(
-        "--cache-shards", type=int, default=8, metavar="N",
-        help="compile-cache / flight-table shards by key prefix (default: 8)",
     )
     p_serve.add_argument(
         "--cache-dir",

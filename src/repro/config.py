@@ -307,12 +307,13 @@ class ObserveConfig:
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Limits and behaviour of the networked front door
-    (``repro serve --tcp``, :mod:`repro.serve.net`).
+    """Limits and behaviour of the daemon core behind ``repro serve``
+    (:mod:`repro.serve.net.server`), over either transport.
 
-    ``max_clients`` bounds concurrent TCP connections; a connection
-    past the bound is greeted with an ``overloaded`` event and closed.
-    ``max_pending_per_tenant`` / ``max_pending_total`` bound
+    ``host``/``port`` are the TCP listener's address (unused over
+    stdio).  ``max_clients`` bounds concurrent TCP connections; a
+    connection past the bound is greeted with an ``overloaded`` event
+    and closed.  ``max_pending_per_tenant`` / ``max_pending_total`` bound
     admitted-but-unresolved work requests (queued in the pool plus
     in flight plus single-flight followers); a request past either
     bound is answered immediately with ``error_kind: "overloaded"``
@@ -320,8 +321,7 @@ class ServeConfig:
     bound.  ``drain_grace_s`` is how long a graceful drain (SIGTERM /
     ``shutdown``) waits for in-flight work before cancelling what is
     left.  ``dedup`` enables single-flight deduplication of identical
-    concurrent compiles; ``cache_shards`` splits each worker's compile
-    cache (and the front door's flight table) by key prefix.
+    concurrent compiles.
     """
 
     host: str = "127.0.0.1"
@@ -331,7 +331,6 @@ class ServeConfig:
     max_pending_total: int = 1024
     drain_grace_s: float = 10.0
     dedup: bool = True
-    cache_shards: int = 8
 
     def __post_init__(self) -> None:
         if not (0 <= self.port <= 65535):
@@ -344,8 +343,6 @@ class ServeConfig:
             raise ValueError("max_pending_total must be >= 1")
         if self.drain_grace_s < 0:
             raise ValueError("drain_grace_s must be non-negative")
-        if self.cache_shards < 1:
-            raise ValueError("cache_shards must be >= 1")
 
     def as_dict(self) -> Dict[str, Any]:
         return _field_dict(self)

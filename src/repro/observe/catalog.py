@@ -71,16 +71,17 @@ CATALOG: Tuple[Tuple[str, str, Tuple[str, ...], Optional[Sequence[float]], str],
      LATENCY_BUCKETS, "Seconds a task waited for a worker."),
     ("repro_pool_run_seconds", "histogram", (),
      LATENCY_BUCKETS, "Seconds a task executed on a worker."),
-    # -- service / daemon (repro.serve.service, repro.serve.stdio) -----
+    # -- service / daemon (repro.serve.service, repro.serve.net) -------
     ("repro_requests", "counter", ("op", "status"),
      None, "Service requests by operation and status (ok/error kind)."),
     ("repro_request_seconds", "histogram", ("op",),
-     LATENCY_BUCKETS, "End-to-end seconds per request (queued + run)."),
+     LATENCY_BUCKETS, "Batch seconds per request (queued + run)."),
     ("repro_flight_dumps", "counter", ("reason",),
      None, "Flight-recorder dumps written, by reason."),
-    # -- networked front door (repro.serve.net) ------------------------
+    # -- the daemon core, both transports (repro.serve.net) ------------
     ("repro_serve_clients", "gauge", (),
-     None, "TCP clients connected to the front door right now."),
+     None, "Clients connected to the daemon right now (TCP connections "
+           "or the one stdio session)."),
     ("repro_serve_rejects", "counter", ("reason",),
      None, "Admission-control rejects by reason "
            "(tenant-queue-full/queue-full/max-clients/draining)."),
@@ -88,9 +89,9 @@ CATALOG: Tuple[Tuple[str, str, Tuple[str, ...], Optional[Sequence[float]], str],
      None, "Requests answered by joining an identical in-flight compile "
            "(single-flight followers; each cost zero pool tasks)."),
     ("repro_serve_tenant_queue_depth", "gauge", ("tenant",),
-     None, "Admitted-but-unresolved front-door requests per tenant."),
+     None, "Admitted-but-unresolved daemon requests per tenant."),
     ("repro_serve_request_seconds", "histogram", ("op",),
-     LATENCY_BUCKETS, "Front-door seconds per request, intake to response "
+     LATENCY_BUCKETS, "Daemon seconds per request, intake to response "
                       "write (the loadgen/SLO latency)."),
     # -- request tracing (repro.observe.reqtrace / spanstore) ----------
     ("repro_trace_traces", "counter", ("decision",),

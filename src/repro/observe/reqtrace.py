@@ -1,6 +1,6 @@
 """``repro.observe.reqtrace`` — per-request distributed tracing.
 
-Every request entering the system (TCP front door, stdio daemon,
+Every request entering the system (the serve daemon over TCP or stdio,
 ``repro batch``, loadgen) gets a **trace ID** and a tree of spans
 covering its full lifecycle: intake/parse, admission, single-flight
 dedup, queue, the worker's per-pass compile spans (the PR 1

@@ -5,10 +5,11 @@ compile cache (compilation is deterministic in (source, config,
 version), so every recompile is waste), a crash-isolated multi-process
 worker pool with per-request timeouts and instruction budgets, a batch
 front end (``repro batch``), and a long-lived JSON-lines daemon
-(``repro serve --stdio``).
+(``repro serve``) — one core in :mod:`repro.serve.net.server` with a
+TCP listener and a stdio transport (:mod:`repro.serve.stdio`).
 
-See ``docs/serving.md`` for the architecture, the stdio protocol with
-a worked transcript, cache-key semantics, and the failure-mode table.
+See ``docs/serving.md`` for the architecture, the protocol with a
+worked transcript, cache-key semantics, and the failure-mode table.
 """
 
 from repro.serve.cache import (

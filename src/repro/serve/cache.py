@@ -29,7 +29,7 @@ stamp the artifact format, the Python bytecode magic, and the config
 fingerprint — any skew is a miss).  :meth:`CompileCache.compile`
 probes memory → artifact → ISA; an ISA hit with a missing or stale
 artifact re-promotes (rebuilds and rewrites the artifact), so the two
-tiers converge on any shared disk root, sharded or plain.  Artifact
+tiers converge on any shared disk root.  Artifact
 handling is gated by ``CompilerConfig.artifact_cache`` and the
 cache's ``artifacts`` flag, and only applies to ``vm_fast`` configs
 (the tier stores fast-path state).  See ``docs/aot.md``.
@@ -394,16 +394,13 @@ class CompileCache:
         prelude: bool = True,
         tracer=None,
         times=None,
-        key: Optional[str] = None,
     ) -> Tuple[CompiledProgram, bool]:
         """Compile *source* under *config*, through the cache.
 
         Returns ``(compiled, hit)``.  On a hit the compiler never runs,
         so per-pass tracer spans and ``times`` are only recorded on a
         miss (callers that want compile observability should bypass the
-        cache).  ``key`` short-circuits the key derivation when the
-        caller (the sharded front, the single-flight table) has already
-        computed it.
+        cache).
 
         Tier order: memory LRU, then the executable-artifact tier
         (when enabled for this config — skips predecode/blockcompile
@@ -412,8 +409,7 @@ class CompileCache:
         writes both tiers.
         """
         config = config or CompilerConfig()
-        if key is None:
-            key = cache_key(source, config, prelude)
+        key = cache_key(source, config, prelude)
         use_artifact = self._artifact_enabled(config)
         cached = self._memory.get(key)
         if cached is not None:
@@ -611,102 +607,6 @@ class CompileCache:
     def __repr__(self) -> str:
         where = self.root if self.disk else "memory-only"
         return f"<CompileCache {where} {self.stats.as_dict()}>"
-
-
-def shard_index(key: str, shards: int) -> int:
-    """Which shard a cache key belongs to: the key's leading byte
-    modulo the shard count — the same prefix that names the disk
-    store's fan-out directory (``objects/<k[:2]>/``), so one shard owns
-    a contiguous slice of the on-disk namespace."""
-    return int(key[:2], 16) % shards
-
-
-class ShardedCompileCache:
-    """A key-prefix-sharded front over N :class:`CompileCache` tiers.
-
-    Each shard is an independent cache (its own memory LRU and
-    counters) over the *same* disk root — the content-addressed store
-    already fans out by key prefix, so shards never contend for the
-    same objects.  Sharding bounds the cost of any per-shard scan or
-    eviction sweep to ``1/N`` of the keyspace and gives the service
-    layer independently evictable units; the networked front door pairs
-    it with a flight table sharded by the same prefix
-    (:mod:`repro.serve.net.singleflight`).
-
-    The interface is the :class:`CompileCache` subset the service layer
-    uses (``get``/``put``/``compile``/``stats``), so the two are
-    drop-in interchangeable as worker state.
-    """
-
-    def __init__(
-        self,
-        root: Optional[str] = None,
-        shards: int = 8,
-        memory_entries: int = 256,
-        disk: bool = True,
-        artifacts: bool = True,
-        registry=None,
-    ) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        per_shard = max(1, memory_entries // shards)
-        self.shards: Tuple[CompileCache, ...] = tuple(
-            CompileCache(
-                root=root,
-                memory_entries=per_shard,
-                disk=disk,
-                artifacts=artifacts,
-                registry=registry,
-            )
-            for _ in range(shards)
-        )
-        # Every shard shares one root (or all are memory-only).
-        self.root = self.shards[0].root
-        self.disk = disk
-
-    def shard_for(self, key: str) -> CompileCache:
-        return self.shards[shard_index(key, len(self.shards))]
-
-    def get(self, key: str) -> Optional[CompiledProgram]:
-        return self.shard_for(key).get(key)
-
-    def put(self, key: str, compiled: CompiledProgram) -> None:
-        self.shard_for(key).put(key, compiled)
-
-    def compile(
-        self,
-        source: str,
-        config: Optional[CompilerConfig] = None,
-        prelude: bool = True,
-        tracer=None,
-        times=None,
-        key: Optional[str] = None,
-    ) -> Tuple[CompiledProgram, bool]:
-        """Route one compile to its key's shard (the key is computed
-        once, here, and handed down)."""
-        if key is None:
-            key = cache_key(source, config, prelude)
-        return self.shard_for(key).compile(
-            source, config, prelude=prelude, tracer=tracer, times=times, key=key
-        )
-
-    @property
-    def stats(self) -> CacheStats:
-        """Aggregate counters across every shard (a fresh snapshot
-        object; per-shard views live on the shards themselves)."""
-        total = CacheStats()
-        for shard in self.shards:
-            s = shard.stats
-            for f in fields(CacheStats):
-                setattr(total, f.name, getattr(total, f.name) + getattr(s, f.name))
-        return total
-
-    def __repr__(self) -> str:
-        where = self.root if self.disk else "memory-only"
-        return (
-            f"<ShardedCompileCache x{len(self.shards)} {where} "
-            f"{self.stats.as_dict()}>"
-        )
 
 
 def iter_keys(sources, config: Optional[CompilerConfig] = None) -> Iterator[str]:

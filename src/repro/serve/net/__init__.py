@@ -1,13 +1,14 @@
-"""The networked compile farm: an asyncio TCP front door over the
-crash-isolated worker pool.
+"""The daemon behind ``repro serve``: an asyncio JSON-lines core over
+the crash-isolated worker pool.
 
-* :mod:`repro.serve.net.server` — the JSON-lines TCP daemon
-  (``repro serve --tcp``): multi-client multiplexing, per-tenant
-  admission control, single-flight dedup, graceful drain.
+* :mod:`repro.serve.net.server` — the daemon core for both transports
+  (``repro serve --tcp`` listens; ``repro serve --stdio`` hands it
+  stdin and stdout as one connection): control ops, per-tenant
+  admission control, single-flight dedup, withdrawal, graceful drain.
 * :mod:`repro.serve.net.admission` — bounded per-tenant queues and
   429-style ``overloaded`` rejects.
-* :mod:`repro.serve.net.singleflight` — the key-prefix-sharded flight
-  table that lets N concurrent identical compiles cost one pool task.
+* :mod:`repro.serve.net.singleflight` — the flight table that lets N
+  concurrent identical compiles cost one pool task.
 * :mod:`repro.serve.net.loadgen` — ``repro loadgen``: corpus replay at
   configurable concurrency, latency percentiles, and the SLO gate.
 """

@@ -1,8 +1,8 @@
-"""Per-tenant admission control for the TCP front door.
+"""Per-tenant admission control for the daemon (both transports).
 
 The pool's queue is unbounded by design (a batch knows its own size);
-a network front door does not have that luxury — a single client can
-submit forever.  Admission control bounds what the server will hold
+a daemon does not have that luxury — a single client can submit
+forever.  Admission control bounds what the server will hold
 per tenant and in total, and answers everything past the bound with an
 immediate ``overloaded`` reject (the JSON-lines protocol's 429) rather
 than queueing without limit.

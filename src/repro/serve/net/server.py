@@ -1,49 +1,74 @@
-"""``repro serve --tcp`` — the asyncio JSON-lines TCP front door.
+"""The daemon core behind ``repro serve``: one asyncio JSON-lines server.
 
-The protocol is the stdio daemon's (:mod:`repro.serve.stdio`) over a
-socket, one JSON document per line, with three front-door additions:
+``repro serve --tcp`` accepts socket connections; ``repro serve
+--stdio`` (:mod:`repro.serve.stdio`) hands the same core a single
+connection made of stdin and stdout.  Everything else — the protocol,
+control ops, admission, single-flight dedup, request tracing, metrics
+dumps, the ``daemon-error`` flight dump and the drain — exists once,
+here, for both transports.
 
-* requests may carry ``"tenant": "name"`` — the admission-control key
-  (default ``"default"``);
-* a request past the tenant or global pending bound is answered
-  immediately with ``{"ok": false, "error_kind": "overloaded",
-  "reason": ...}`` — the protocol's 429; clients should back off and
-  retry (``retry_after_s`` is a hint);
-* follower responses produced by single-flight dedup carry
-  ``"deduped": true`` (and the leader's ``cached`` flag).
+Protocol, one JSON document per line in each direction:
+
+* client → server, work requests::
+
+    {"id": 1, "op": "compile", "source": "(+ 1 2)"}
+    {"id": 2, "op": "run", "source": "(f 10)", "config": {...},
+     "max_instructions": 500000, "timeout": 5.0, "tenant": "ci"}
+
+* client → server, control requests: ``ping``, ``stats``, ``health``,
+  ``metrics`` (``"format": "openmetrics"`` for the text exposition),
+  ``cancel`` (``"target": <request id>``) and ``shutdown``;
+* server → client: a ``{"event": "ready", ...}`` banner, one response
+  per request line in completion order (match on ``id``), and
+  ``{"event": "bye"}`` at the drain.  A work request past the tenant
+  or global pending bound is answered at once with ``"error_kind":
+  "overloaded"`` and a ``retry_after_s`` hint (the protocol's 429);
+  follower responses of single-flight dedup carry ``"deduped": true``.
+
+The rules every connection follows:
+
+* a control op is answered only after every earlier request line on
+  its connection has reached the pool, so ``metrics`` or ``stats``
+  sent behind a ``compile`` already counts it;
+* withdrawing a request — a ``cancel`` op, or its client going away
+  (a write fails) — cancels its pool task unless another request
+  waits on the same flight;
+* EOF from a client that still reads is a half-close: every admitted
+  request is answered before the connection ends.  A line past
+  ``_LINE_LIMIT`` ends intake the same way.
 
 Architecture — one event loop, one pool thread::
 
     client ──┐  asyncio loop (intake, admission, single-flight, responses)
-    client ──┤        │ submit/cancel (command queue)   ▲ results
-    client ──┘        ▼                                 │ (call_soon_threadsafe)
+    client ──┤        │ submit/cancel/call (command queue)   ▲ results
+    client ──┘        ▼                                      │ (call_soon_threadsafe)
                  _PoolBridge thread ── owns the WorkerPool (poll/dispatch)
                       │
                  worker processes (crash isolation, per-task timeouts)
 
 Every :class:`~repro.serve.pool.WorkerPool` call happens on the bridge
 thread, preserving the pool's single-threaded scheduler invariants;
-the loop talks to it through a command queue and gets results back as
-resolved futures.  Backpressure is layered: per-connection response
-writes await ``drain()`` (a slow reader stalls only its own
+the loop talks to it through a FIFO command queue and gets results
+back as resolved futures.  Backpressure is layered: response writes
+await the connection's drain (a slow reader stalls only its own
 responses), admission bounds what the server will hold, and the pool
 bounds what actually runs.
 
-Graceful drain (SIGTERM, SIGINT, or the ``shutdown`` op): stop
-accepting connections, reject new work with ``reason: "draining"``,
-finish everything in flight (bounded by ``drain_grace_s``, then
-cancel), flush the metrics snapshot, send every client ``{"event":
-"bye"}``, and exit 0.  EOF on the stdio daemon now follows the same
-sequence (see ``stdio._Session.graceful_drain``).
+Graceful drain (SIGTERM, SIGINT, the ``shutdown`` op, or the end of
+the stdio connection): stop accepting connections, reject new work
+with ``reason: "draining"``, finish everything in flight (bounded by
+``drain_grace_s``, then cancel), flush the metrics snapshot, send
+every client ``{"event": "bye"}``, and exit 0.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import os
 import queue
 import signal
-import socket
 import sys
 import threading
 import time
@@ -62,8 +87,9 @@ from repro.serve.net.admission import (
 )
 from repro.serve.net.singleflight import FlightTable
 from repro.serve.pool import TaskResult, WorkerPool
-from repro.serve.service import Request, response_from_task
-from repro.serve.stdio import PROTOCOL_VERSION, _METRICS_DUMP_INTERVAL
+from repro.serve.service import Request, Response, response_from_task
+
+PROTOCOL_VERSION = 1
 
 _CONTROL_OPS = ("ping", "stats", "cancel", "shutdown", "metrics", "health")
 
@@ -74,51 +100,32 @@ _LINE_LIMIT = 1 << 20
 #: The ``retry_after_s`` hint attached to overloaded rejects.
 _RETRY_AFTER_S = 0.05
 
+#: Seconds between periodic registry dumps when ``metrics_out`` is set.
+_METRICS_DUMP_INTERVAL = 5.0
+
 
 class _PoolBridge:
     """The worker pool behind a thread boundary.
 
-    ``submit`` may be called from the event loop; the returned
-    ``asyncio.Future`` resolves (on the loop) with the task's
-    :class:`TaskResult`.  All pool mutation happens on the bridge
-    thread, fed by a command queue, so the pool's scheduler state is
-    never touched concurrently.
+    Commands from the event loop go through one FIFO queue, so they
+    reach the pool in the order they were sent; all pool mutation
+    happens on the bridge thread, and results come back by resolving
+    loop futures.
     """
 
-    def __init__(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        jobs: int = 1,
-        cache: bool = True,
-        cache_dir: Optional[str] = None,
-        disk_cache: bool = True,
-        artifacts: bool = True,
-        cache_shards: int = 1,
-        registry=None,
-        recorder=None,
-        flight_dir: Optional[str] = None,
-    ) -> None:
+    def __init__(self, loop: asyncio.AbstractEventLoop, **pool_kwargs: Any) -> None:
         self._loop = loop
-        self.jobs = max(1, jobs)
-        self._pool_kwargs = dict(
-            jobs=jobs,
-            cache=cache,
-            cache_dir=cache_dir,
-            disk_cache=disk_cache,
-            artifacts=artifacts,
-            cache_shards=cache_shards,
-            registry=registry,
-            recorder=recorder,
-            flight_dir=flight_dir,
-        )
+        self.jobs = max(1, pool_kwargs.get("jobs", 1))
+        self._pool_kwargs = pool_kwargs
         self._commands: "queue.Queue" = queue.Queue()
+        self._sent = 0  # commands queued (loop side)
+        self._handled = 0  # commands carried out (bridge side)
         self._futures: Dict[int, "asyncio.Future"] = {}  # task_id -> future
         self._task_ids: Dict[int, int] = {}  # id(future) -> task_id
         self._started = threading.Event()
         self._thread = threading.Thread(
             target=self._run, name="repro-pool-bridge", daemon=True
         )
-        self.flight_dumps: list = []
 
     def start(self) -> None:
         self._thread.start()
@@ -126,62 +133,71 @@ class _PoolBridge:
 
     # -- loop-side API --------------------------------------------------
 
+    def _send(self, *command: Any) -> None:
+        self._sent += 1
+        self._commands.put(command)
+
     def submit(
         self,
+        future: "asyncio.Future",
         op: str,
         payload: Dict[str, Any],
         timeout: Optional[float],
         trace: Optional[Dict[str, Any]] = None,
-    ) -> "asyncio.Future":
+    ) -> None:
+        """Queue one task; *future* resolves (on the loop) with its
+        :class:`TaskResult` unless it is done by then."""
+        self._send("submit", future, op, payload, timeout, trace)
+
+    def call(self, fn: Callable[[WorkerPool], Any]) -> "asyncio.Future":
+        """Run ``fn(pool)`` on the bridge thread, after every command
+        sent before it; the future resolves with its return value."""
         future = self._loop.create_future()
-        self._commands.put(("submit", op, payload, timeout, trace, future))
+        self._send("call", future, fn)
         return future
+
+    async def settle(self) -> None:
+        """Return once every command sent so far has reached the pool."""
+        if self._handled < self._sent:
+            await self.call(lambda pool: None)
 
     def cancel(self, future: "asyncio.Future") -> None:
-        """Best-effort cancel of a submitted task (queued: dropped;
-        running: worker terminated); the future still resolves, with
-        ``error_kind: "cancelled"``."""
-        self._commands.put(("cancel", future))
-
-    def cancel_pending(self) -> None:
-        """Drop every queued-but-unstarted task (drain-grace expiry)."""
-        self._commands.put(("cancel_pending",))
-
-    def stats(self) -> "asyncio.Future":
-        future = self._loop.create_future()
-        self._commands.put(("stats", future))
-        return future
+        """Cancel the task *future* was submitted with (queued: dropped;
+        running: worker terminated)."""
+        self.call(lambda pool: pool.cancel(self._task_ids.get(id(future), -1)))
 
     def stop(self, join_timeout: float = 10.0) -> None:
-        self._commands.put(("stop",))
+        self._send("stop")
         self._thread.join(timeout=join_timeout)
 
     # -- bridge thread --------------------------------------------------
 
     def _run(self) -> None:
         with WorkerPool(**self._pool_kwargs) as pool:
-            self._pool = pool
             self._started.set()
             stopping = False
-            while True:
+            while not stopping or self._futures:
+                # With no task out, block on the command queue (an idle
+                # bridge must not spin); otherwise take what is queued
+                # and go back to polling results.
+                block = not stopping and not self._futures
                 while True:
                     try:
-                        command = self._commands.get_nowait()
+                        command = self._commands.get(block=block)
                     except queue.Empty:
                         break
+                    block = False
                     if command[0] == "stop":
                         stopping = True
                     else:
                         self._handle(pool, command)
-                if stopping and not self._futures:
-                    break
+                    self._handled += 1
                 for result in pool.poll(0.02):
                     self._deliver(result)
                 if stopping:
                     # Nothing new arrives after stop; resolve what is
                     # left (close() would abandon it silently).
                     pool.cancel_pending()
-            self.flight_dumps.extend(pool.flight_dumps)
         # Unresolvable futures (pool torn down mid-flight) fail loudly.
         for future in list(self._futures.values()):
             self._resolve_threadsafe(
@@ -194,22 +210,14 @@ class _PoolBridge:
         self._futures.clear()
 
     def _handle(self, pool: WorkerPool, command) -> None:
-        kind = command[0]
-        if kind == "submit":
-            _, op, payload, timeout, trace, future = command
+        if command[0] == "submit":
+            _, future, op, payload, timeout, trace = command
             task_id = pool.submit(op, payload, timeout=timeout, trace=trace)
             self._futures[task_id] = future
             self._task_ids[id(future)] = task_id
-        elif kind == "cancel":
-            _, future = command
-            task_id = self._task_ids.get(id(future))
-            if task_id is not None:
-                pool.cancel(task_id)
-        elif kind == "cancel_pending":
-            pool.cancel_pending()
-        elif kind == "stats":
-            _, future = command
-            self._resolve_threadsafe(future, pool.stats())
+        else:  # "call"
+            _, future, fn = command
+            self._resolve_threadsafe(future, fn(pool))
 
     def _deliver(self, result: TaskResult) -> None:
         future = self._futures.pop(result.task_id, None)
@@ -230,16 +238,21 @@ class _PoolBridge:
 
 
 class _Connection:
-    """One TCP client: a reader loop plus serialized response writes."""
+    """One client: its line reader, serialized response writes, and the
+    admitted requests it is still waiting on."""
 
-    def __init__(self, server: "NetServer", reader, writer, conn_id: int) -> None:
+    def __init__(
+        self, server: "NetServer", reader, writer, conn_id: int, transport: str
+    ) -> None:
         self.server = server
         self.reader = reader
         self.writer = writer
         self.conn_id = conn_id
+        self.transport = transport
         self.peer = writer.get_extra_info("peername")
-        self.tasks: Set["asyncio.Task"] = set()
-        self.task_of_id: Dict[Any, "asyncio.Task"] = {}
+        #: responder task -> the future it awaits (cancel it to withdraw)
+        self.pending: Dict["asyncio.Task", "asyncio.Future"] = {}
+        self.by_id: Dict[Any, "asyncio.Future"] = {}  # client id -> newest
         self._write_lock = asyncio.Lock()
         self.alive = True
 
@@ -253,8 +266,11 @@ class _Connection:
                 # Backpressure: a slow reader stalls this connection's
                 # responses (and only this connection's).
                 await self.writer.drain()
-        except (ConnectionError, RuntimeError, OSError):
-            self.alive = False
+        except (ConnectionError, RuntimeError, OSError, ValueError):
+            # The client is gone.  Closing ends intake; run() then
+            # withdraws whatever the client left.
+            self.server.recorder.record("net.client-gone", conn=self.conn_id)
+            self.close()
 
     async def run(self) -> None:
         await self.send(
@@ -262,13 +278,13 @@ class _Connection:
                 "event": "ready",
                 "protocol": PROTOCOL_VERSION,
                 "version": __version__,
-                "transport": "tcp",
+                "transport": self.transport,
                 "jobs": self.server.bridge.jobs,
                 "dedup": self.server.config.dedup,
                 "tracing": self.server.reqtracer is not None,
             }
         )
-        while True:
+        while self.alive:
             try:
                 line = await self.reader.readline()
             except (ConnectionError, OSError, ValueError):
@@ -279,23 +295,28 @@ class _Connection:
             text = line.decode("utf-8", errors="replace").strip()
             if text:
                 await self.server.dispatch(self, text)
-        self.alive = False
-        # The client is gone: release what it was waiting on.  Leader
-        # pool tasks are server-owned and keep running (the result
-        # still warms the cache and resolves any followers).
-        for task in list(self.tasks):
-            task.cancel()
+        # Intake is over.  A client that still reads (a half-close) is
+        # answered everything it was admitted; one that is gone has
+        # its requests withdrawn.
+        while self.alive and self.pending:
+            await asyncio.wait(list(self.pending), return_when=asyncio.FIRST_COMPLETED)
+        for waiting in list(self.pending.values()):
+            waiting.cancel()
 
     def close(self) -> None:
         self.alive = False
-        try:
+        with contextlib.suppress(Exception):
+            if self.writer.can_write_eof():
+                # Send the FIN now: forked workers hold copies of the
+                # socket's fd, so closing alone would not end the
+                # connection while they live.
+                self.writer.write_eof()
+        with contextlib.suppress(Exception):
             self.writer.close()
-        except Exception:  # pragma: no cover - already closed
-            pass
 
 
 class NetServer:
-    """The multi-client TCP compile server (see module docstring)."""
+    """The daemon core for both transports (see module docstring)."""
 
     def __init__(
         self,
@@ -327,17 +348,21 @@ class NetServer:
             max_pending_total=self.config.max_pending_total,
             registry=self.registry,
         )
-        self.flights = FlightTable(shards=self.config.cache_shards)
-        self._jobs = jobs
-        self._cache = cache
-        self._cache_dir = cache_dir
-        self._disk_cache = disk_cache
-        self._artifacts = artifacts
+        self.flights = FlightTable()
+        self._pool_kwargs = dict(
+            jobs=jobs,
+            cache=cache,
+            cache_dir=cache_dir,
+            disk_cache=disk_cache,
+            artifacts=artifacts,
+            registry=self.registry,
+            recorder=self.recorder,
+            flight_dir=flight_dir,
+        )
         self.clients: Set[_Connection] = set()
         self.clients_peak = 0
         self._next_conn_id = 0
         self._outstanding: Set["asyncio.Task"] = set()
-        self._lead_tasks: Set["asyncio.Task"] = set()
         self._draining = False
         self._drain_started = False
         self._drained = None  # asyncio.Event, created in start()
@@ -348,22 +373,15 @@ class NetServer:
 
     # -- lifecycle ------------------------------------------------------
 
-    async def start(self) -> None:
-        loop = asyncio.get_running_loop()
+    async def start(self, listen: bool = True) -> None:
+        """Start the pool (and, with *listen*, the TCP listener)."""
         self._drained = asyncio.Event()
-        self.bridge = _PoolBridge(
-            loop,
-            jobs=self._jobs,
-            cache=self._cache,
-            cache_dir=self._cache_dir,
-            disk_cache=self._disk_cache,
-            artifacts=self._artifacts,
-            cache_shards=self.config.cache_shards,
-            registry=self.registry,
-            recorder=self.recorder,
-            flight_dir=self.flight_dir,
-        )
+        self.bridge = _PoolBridge(asyncio.get_running_loop(), **self._pool_kwargs)
         self.bridge.start()
+        if self.metrics_out:
+            self._metrics_task = asyncio.ensure_future(self._metrics_loop())
+        if not listen:
+            return
         self._server = await asyncio.start_server(
             self._on_connection,
             host=self.config.host,
@@ -372,8 +390,6 @@ class NetServer:
         )
         sock = self._server.sockets[0]
         self.address = sock.getsockname()[:2]
-        if self.metrics_out:
-            self._metrics_task = asyncio.ensure_future(self._metrics_loop())
         self.recorder.record(
             "net.listening", host=self.address[0], port=self.address[1]
         )
@@ -383,10 +399,39 @@ class NetServer:
                 "host": self.address[0],
                 "port": self.address[1],
                 "jobs": self.bridge.jobs,
-                "pid": __import__("os").getpid(),
+                "pid": os.getpid(),
                 "limits": self.config.as_dict(),
             }
         )
+
+    async def run(self, stdio=None) -> None:
+        """The daemon's whole life, until it has drained.  *stdio* is
+        the one connection of the stdio transport (an object with a
+        stream reader's ``readline`` and a stream writer's ``write`` /
+        ``drain`` / ``close``); the session drains when it ends.
+        Without it the daemon listens on TCP."""
+        try:
+            await self.start(listen=stdio is None)
+            self.install_signal_handlers()
+            if stdio is not None:
+                conn = self._open(stdio, stdio, "stdio")
+                await conn.run()
+                await self.drain(reason="eof" if conn.alive else "client-gone")
+            await self.wait_drained()
+        except Exception as exc:
+            # The daemon itself failed (not a request): keep the recent
+            # event timeline as a post-mortem artifact.
+            error = f"{type(exc).__name__}: {exc}"
+            self.recorder.record("net.daemon-error", error=error)
+            if self.flight_dir:
+                self.recorder.dump_to(
+                    self.flight_dir, "daemon-error", extra={"error": error}
+                )
+                if self.registry.enabled:
+                    declare(self.registry, "repro_flight_dumps").labels(
+                        reason="daemon-error"
+                    ).inc()
+            raise
 
     def install_signal_handlers(self) -> None:
         """SIGTERM/SIGINT → graceful drain.  Only possible on the main
@@ -418,21 +463,18 @@ class NetServer:
         self.announce({"event": "draining", "reason": reason})
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         # Finish what was admitted, bounded by the grace window; after
         # it, queued tasks are cancelled and we wait (briefly) for the
         # cancellations to resolve so every response is still written.
         if not await self._await_outstanding(self.config.drain_grace_s):
-            self.bridge.cancel_pending()
+            self.bridge.call(WorkerPool.cancel_pending)
             if not await self._await_outstanding(5.0):
-                # A handler can outlive even the cancellations when its
-                # client stopped reading; cut it loose rather than hang
-                # the drain on a dead peer.
+                # A responder can outlive even the cancellations when
+                # its client stopped reading; cut it loose rather than
+                # hang the drain on a dead peer.
                 for task in list(self._outstanding):
                     task.cancel()
                 await self._await_outstanding(2.0)
-        for task in list(self._lead_tasks):
-            task.cancel()
         if self._metrics_task is not None:
             self._metrics_task.cancel()
         self._dump_metrics()
@@ -485,12 +527,7 @@ class NetServer:
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
             return
-        conn = _Connection(self, reader, writer, self._next_conn_id)
-        self._next_conn_id += 1
-        self.clients.add(conn)
-        self.clients_peak = max(self.clients_peak, len(self.clients))
-        self._gauge_clients()
-        self.recorder.record("net.connect", conn=conn.conn_id, peer=str(conn.peer))
+        conn = self._open(reader, writer, "tcp")
         try:
             await conn.run()
         finally:
@@ -498,6 +535,15 @@ class NetServer:
             self._gauge_clients()
             conn.close()
             self.recorder.record("net.disconnect", conn=conn.conn_id)
+
+    def _open(self, reader, writer, transport: str) -> _Connection:
+        conn = _Connection(self, reader, writer, self._next_conn_id, transport)
+        self._next_conn_id += 1
+        self.clients.add(conn)
+        self.clients_peak = max(self.clients_peak, len(self.clients))
+        self._gauge_clients()
+        self.recorder.record("net.connect", conn=conn.conn_id, peer=str(conn.peer))
+        return conn
 
     def _gauge_clients(self) -> None:
         if self.registry.enabled:
@@ -516,6 +562,7 @@ class NetServer:
             return
         op = doc.get("op")
         if op in _CONTROL_OPS:
+            await self.bridge.settle()
             await self._handle_control(conn, doc)
             return
         try:
@@ -562,21 +609,7 @@ class NetServer:
             )
             await conn.send(self._overloaded(request, reason, trace))
             return
-        task = asyncio.ensure_future(
-            self._handle_work(conn, request, tenant, trace)
-        )
-        self._outstanding.add(task)
-        conn.tasks.add(task)
-        if request.id is not None:
-            conn.task_of_id[request.id] = task
-
-        def cleanup(t: "asyncio.Task") -> None:
-            self._outstanding.discard(t)
-            conn.tasks.discard(t)
-            if request.id is not None and conn.task_of_id.get(request.id) is t:
-                del conn.task_of_id[request.id]
-
-        task.add_done_callback(cleanup)
+        self._admit(conn, request, tenant, trace)
 
     @staticmethod
     def _overloaded(
@@ -615,8 +648,8 @@ class NetServer:
         """The single-flight identity of a request: the compile-cache
         key (canonical source + config fingerprint + version) extended
         with the op and budget, which also determine the answer.  None
-        when the source cannot even be canonicalized — those requests
-        go straight to a worker, which classifies the error properly."""
+        when dedup is off or the source cannot even be canonicalized —
+        those requests fly alone, and a worker classifies the error."""
         if not self.config.dedup:
             return None
         try:
@@ -629,126 +662,117 @@ class NetServer:
             return None
         return f"{key}:{request.op}:{request.max_instructions}"
 
-    async def _lead(self, flight_key: str, pool_future: "asyncio.Future") -> None:
-        """Server-owned leader body: resolve the flight when the pool
-        does.  Owned by the server, not the leader's connection, so a
-        leader disconnect can never strand the followers."""
-        try:
-            result = await pool_future
-        except asyncio.CancelledError:
-            self.flights.abort(flight_key, ConnectionError("server draining"))
-            raise
-        except BaseException as exc:  # pragma: no cover - bridge teardown
-            self.flights.abort(flight_key, exc)
-            return
-        self.flights.resolve(flight_key, result)
-
-    async def _handle_work(
+    def _admit(
         self, conn: _Connection, request: Request, tenant: str, trace=None
     ) -> None:
-        started = time.monotonic()
+        """Put an admitted request in flight before the next line is
+        read (so it reaches the pool in line order), then answer it
+        from a responder task."""
         self.requests += 1
-        deduped = False
-        try:
-            flight_key = self._flight_key(request)
-            role = "nodedup" if flight_key is None else "leader"
-            dedup_ns = trace.now_ns() if trace is not None else 0
-            if flight_key is None:
-                future = self.bridge.submit(
-                    request.op, request.payload(), request.timeout,
-                    trace=trace.context() if trace is not None else None,
-                )
-            else:
-                leader, future = self.flights.join(flight_key)
-                if leader:
-                    # Only the leader reaches the pool, so the worker's
-                    # compile spans belong to the leader's trace.
-                    pool_future = self.bridge.submit(
-                        request.op, request.payload(), request.timeout,
-                        trace=trace.context() if trace is not None else None,
-                    )
-                    lead = asyncio.ensure_future(
-                        self._lead(flight_key, pool_future)
-                    )
-                    self._lead_tasks.add(lead)
-                    lead.add_done_callback(self._lead_tasks.discard)
-                else:
-                    role = "follower"
-                    deduped = True
-                    if self.registry.enabled:
-                        declare(self.registry, "repro_serve_inflight_dedup").inc()
-                    self.recorder.record(
-                        "net.dedup", id=request.id, tenant=tenant
-                    )
-            if trace is not None:
-                now = trace.now_ns()
-                trace.record("dedup", dedup_ns, now - dedup_ns, role=role)
-            wait_ns = trace.now_ns() if trace is not None else 0
-            try:
-                # Shield: cancelling this handler (client disconnect,
-                # per-request cancel op) must not cancel the shared
-                # flight future other requests are awaiting.
-                result = await asyncio.shield(future)
-            except asyncio.CancelledError:
-                response = self._cancelled_response(request)
-                await conn.send(response.as_dict())
-                self._observe(request.op, response, started, trace)
-                return
-            except ConnectionError as exc:
-                response = self._cancelled_response(request, str(exc))
-                await conn.send(response.as_dict())
-                if trace is not None:
-                    trace.finish("cancelled", deduped=deduped)
-                return
-            if trace is not None:
-                wait_id = trace.record(
-                    "wait", wait_ns, trace.now_ns() - wait_ns, role=role
-                )
-                if not deduped:
-                    # The pool's latency split, re-timed onto the wall
-                    # clock: queue ends where the worker run began.
-                    queued_ns = int(result.queued_s * 1e9)
-                    run_ns = int(result.run_s * 1e9)
-                    run_start = trace.now_ns() - run_ns
-                    trace.record(
-                        "queue", run_start - queued_ns, queued_ns,
-                        parent=wait_id,
-                    )
-                    run_id = trace.record(
-                        "run", run_start, run_ns, parent=wait_id,
-                    )
-                    if result.meta:
-                        trace.absorb_payload(
-                            result.meta.get("spans"), parent=run_id
-                        )
-            response = response_from_task(request, 0, result)
-            doc = response.as_dict()
-            if deduped:
-                doc["deduped"] = True
-            if trace is not None:
-                doc["traceparent"] = trace.traceparent()
-                respond_ns = trace.now_ns()
-                await conn.send(doc)
-                trace.record(
-                    "respond", respond_ns, trace.now_ns() - respond_ns
-                )
-            else:
-                await conn.send(doc)
-            self._observe(request.op, response, started, trace)
-        finally:
+        started = time.monotonic()
+        dedup_ns = trace.now_ns() if trace is not None else 0
+        key = self._flight_key(request) or f"#{self.requests}"
+        leader, shared = self.flights.join(key)
+        if leader:
+            # Only the leader reaches the pool, so the worker's compile
+            # spans belong to the leader's trace.
+            self.bridge.submit(
+                shared, request.op, request.payload(), request.timeout,
+                trace=trace.context() if trace is not None else None,
+            )
+        else:
+            if self.registry.enabled:
+                declare(self.registry, "repro_serve_inflight_dedup").inc()
+            self.recorder.record("net.dedup", id=request.id, tenant=tenant)
+        if trace is not None:
+            trace.record(
+                "dedup", dedup_ns, trace.now_ns() - dedup_ns,
+                role="leader" if leader else "follower",
+            )
+        # This request's own view of the flight: cancelling it withdraws
+        # the request without touching what other waiters await.
+        waiting = asyncio.shield(shared)
+        task = asyncio.ensure_future(
+            self._respond(
+                conn, request, key, shared, waiting, not leader, started, trace
+            )
+        )
+        self._outstanding.add(task)
+        conn.pending[task] = waiting
+        if request.id is not None:
+            conn.by_id[request.id] = waiting
+
+        def done(t: "asyncio.Task") -> None:
+            self._outstanding.discard(t)
+            del conn.pending[t]
+            if request.id is not None and conn.by_id.get(request.id) is waiting:
+                del conn.by_id[request.id]
             self.admission.release(tenant)
 
-    @staticmethod
-    def _cancelled_response(request: Request, message: str = "cancelled"):
-        from repro.serve.service import Response
+        task.add_done_callback(done)
 
-        return Response(
-            id=request.id,
-            op=request.op,
-            ok=False,
-            error_kind="cancelled",
-            error=message,
-        )
+    async def _respond(
+        self,
+        conn: _Connection,
+        request: Request,
+        key: str,
+        shared: "asyncio.Future",
+        waiting: "asyncio.Future",
+        deduped: bool,
+        started: float,
+        trace=None,
+    ) -> None:
+        wait_ns = trace.now_ns() if trace is not None else 0
+        try:
+            result = await waiting
+        except asyncio.CancelledError:
+            # Withdrawn: stop the work unless another request still
+            # waits on the same flight.
+            if not shared.done() and self.flights.leave(key):
+                self.bridge.cancel(shared)
+            response = Response(
+                id=request.id, op=request.op, ok=False,
+                error_kind="cancelled", error="cancelled",
+            )
+            await conn.send(response.as_dict())
+            self._observe(request.op, response, started, trace)
+            return
+        if trace is not None:
+            wait_id = trace.record(
+                "wait", wait_ns, trace.now_ns() - wait_ns,
+                role="follower" if deduped else "leader",
+            )
+            if not deduped:
+                # The pool's latency split, re-timed onto the wall
+                # clock: queue ends where the worker run began.
+                queued_ns = int(result.queued_s * 1e9)
+                run_ns = int(result.run_s * 1e9)
+                run_start = trace.now_ns() - run_ns
+                trace.record(
+                    "queue", run_start - queued_ns, queued_ns,
+                    parent=wait_id,
+                )
+                run_id = trace.record(
+                    "run", run_start, run_ns, parent=wait_id,
+                )
+                if result.meta:
+                    trace.absorb_payload(
+                        result.meta.get("spans"), parent=run_id
+                    )
+        response = response_from_task(request, 0, result)
+        doc = response.as_dict()
+        if deduped:
+            doc["deduped"] = True
+        if trace is not None:
+            doc["traceparent"] = trace.traceparent()
+            respond_ns = trace.now_ns()
+            await conn.send(doc)
+            trace.record(
+                "respond", respond_ns, trace.now_ns() - respond_ns
+            )
+        else:
+            await conn.send(doc)
+        self._observe(request.op, response, started, trace)
 
     def _observe(self, op: str, response, started: float, trace=None) -> None:
         status = "ok" if response.ok else (response.error_kind or "error")
@@ -780,7 +804,7 @@ class NetServer:
         if op == "ping":
             await conn.send({"id": rid, "ok": True, "pong": True})
         elif op == "stats":
-            pool_stats = await self.bridge.stats()
+            pool_stats = await self.bridge.call(WorkerPool.stats)
             await conn.send(
                 {
                     "id": rid,
@@ -790,8 +814,8 @@ class NetServer:
             )
         elif op == "cancel":
             target = doc.get("target")
-            task = conn.task_of_id.get(target)
-            cancelled = task is not None and task.cancel()
+            waiting = conn.by_id.get(target)
+            cancelled = waiting is not None and waiting.cancel()
             await conn.send(
                 {"id": rid, "ok": True, "cancelled": bool(cancelled),
                  "target": target}
@@ -818,7 +842,7 @@ class NetServer:
                     "ok": True,
                     "health": {
                         "status": "draining" if self._draining else "ok",
-                        "pid": __import__("os").getpid(),
+                        "pid": os.getpid(),
                         "version": __version__,
                         "uptime_s": time.monotonic() - self.started_at,
                         "jobs": self.bridge.jobs,
@@ -844,6 +868,35 @@ class NetServer:
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
+
+
+def run_daemon(
+    stdio=None,
+    serve_config: Optional[ServeConfig] = None,
+    trace_dir: Optional[str] = None,
+    trace_sample: float = 1.0,
+    **server_kwargs: Any,
+) -> int:
+    """Run one daemon until it has drained; returns the exit code.
+    Over TCP unless *stdio*, the stdio transport's one connection, is
+    given.  *server_kwargs* are :class:`NetServer`'s."""
+    # A daemon's metrics cover its own lifetime: start from a clean
+    # registry (also keeps back-to-back in-process sessions independent).
+    registry = get_registry()
+    registry.clear()
+    registry.enable()
+    from repro.observe.reqtrace import build_reqtracer
+
+    reqtracer = build_reqtracer(
+        trace_dir, sample=trace_sample, registry=registry,
+        service="net" if stdio is None else "stdio",
+    )
+    server = NetServer(
+        config=serve_config, registry=registry, reqtracer=reqtracer,
+        **server_kwargs,
+    )
+    asyncio.run(server.run(stdio))
+    return 0
 
 
 def serve_tcp(
@@ -876,36 +929,19 @@ def serve_tcp(
     config = serve_config or ServeConfig()
     if (host, port) != (config.host, config.port):
         config = config.with_address(host, port)
-    # Like the stdio daemon: the server's metrics cover its lifetime.
-    registry = get_registry()
-    registry.clear()
-    registry.enable()
-    from repro.observe.reqtrace import build_reqtracer
-
-    reqtracer = build_reqtracer(
-        trace_dir, sample=trace_sample, registry=registry, service="net"
+    return run_daemon(
+        serve_config=config,
+        trace_dir=trace_dir,
+        trace_sample=trace_sample,
+        jobs=jobs,
+        cache=cache,
+        cache_dir=cache_dir,
+        disk_cache=disk_cache,
+        artifacts=artifacts,
+        metrics_out=metrics_out,
+        flight_dir=flight_dir,
+        announce=announce,
     )
-
-    async def main() -> None:
-        server = NetServer(
-            config=config,
-            jobs=jobs,
-            cache=cache,
-            cache_dir=cache_dir,
-            disk_cache=disk_cache,
-            artifacts=artifacts,
-            registry=registry,
-            metrics_out=metrics_out,
-            flight_dir=flight_dir,
-            reqtracer=reqtracer,
-            announce=announce,
-        )
-        await server.start()
-        server.install_signal_handlers()
-        await server.wait_drained()
-
-    asyncio.run(main())
-    return 0
 
 
 class BackgroundServer:
@@ -973,14 +1009,3 @@ class BackgroundServer:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
 
-
-def wait_for_port(host: str, port: int, timeout: float = 10.0) -> bool:
-    """Poll until something accepts on (host, port) — CI readiness."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        try:
-            with socket.create_connection((host, port), timeout=1.0):
-                return True
-        except OSError:
-            time.sleep(0.05)
-    return False

@@ -3,16 +3,15 @@
 Compilation (and, in this deterministic VM, execution) is a pure
 function of the request, so N concurrent identical requests need one
 pool task: the first becomes the **leader** and submits; the other
-N-1 become **followers** and await the leader's result.  This is the
+N-1 become **followers** and await the same future.  This is the
 in-flight analogue of the compile cache — the cache collapses repeats
 *across* time, the flight table collapses repeats *within* the window
 where the answer is still being computed (exactly the window where a
 cold cache would otherwise stampede the pool).
 
-The table is sharded by the same key prefix as the cache
-(:func:`repro.serve.cache.shard_index`), so the flight map and the
-cache shard that will absorb the result agree on ownership and no
-single dict holds the whole keyspace.
+The table counts each flight's waiters, so a request that is
+withdrawn (a ``cancel`` op, or its client going away) only stops the
+work behind it when nobody else is waiting for the answer.
 
 Everything here runs on one event loop; there is no locking because
 there is no preemption between :meth:`join`'s check and insert.
@@ -21,68 +20,74 @@ there is no preemption between :meth:`join`'s check and insert.
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from repro.serve.cache import shard_index
+
+class _Flight:
+    __slots__ = ("future", "waiters")
+
+    def __init__(self, future: "asyncio.Future") -> None:
+        self.future = future
+        self.waiters = 1
 
 
 class FlightTable:
-    """key → shared future, sharded by key prefix."""
+    """key → the future every waiter of that computation awaits."""
 
-    def __init__(self, shards: int = 8) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        self._shards: Tuple[Dict[str, "asyncio.Future"], ...] = tuple(
-            {} for _ in range(shards)
-        )
+    def __init__(self) -> None:
+        self._flights: Dict[str, _Flight] = {}
         #: Followers served so far (the ``repro_serve_inflight_dedup``
         #: mirror, kept here so ``stats`` needs no registry).
         self.dedup_hits = 0
         self.flights = 0
 
-    def _bucket(self, key: str) -> Dict[str, "asyncio.Future"]:
-        return self._shards[shard_index(key, len(self._shards))]
-
     def join(self, key: str) -> Tuple[bool, "asyncio.Future"]:
-        """Returns ``(leader, future)``.  The leader must eventually
-        call :meth:`resolve` with the same key, exactly once."""
-        bucket = self._bucket(key)
-        future = bucket.get(key)
-        if future is not None:
+        """Returns ``(leader, future)``.  The flight retires when its
+        future is done — resolved (by :meth:`resolve`, or by whoever
+        the leader handed it to) or cancelled by :meth:`leave`."""
+        flight = self._flights.get(key)
+        if flight is not None and not flight.future.done():
+            flight.waiters += 1
             self.dedup_hits += 1
-            return False, future
+            return False, flight.future
         future = asyncio.get_running_loop().create_future()
-        bucket[key] = future
+        flight = self._flights[key] = _Flight(future)
+        future.add_done_callback(lambda _: self._retire(key, flight))
         self.flights += 1
         return True, future
 
     def resolve(self, key: str, result) -> None:
-        """Publish the leader's result to every follower and retire the
-        flight.  Results are plain values (a failed task is still a
-        :class:`TaskResult`), so the future always resolves with
-        ``set_result`` — a follower can never see a raised exception it
-        did not cause."""
-        future = self._bucket(key).pop(key, None)
-        if future is not None and not future.done():
-            future.set_result(result)
+        """Publish a result to every waiter of *key*'s flight.  Results
+        are plain values (a failed task is still a
+        :class:`~repro.serve.pool.TaskResult`), so a waiter can never
+        see a raised exception it did not cause."""
+        flight = self._flights.get(key)
+        if flight is not None and not flight.future.done():
+            flight.future.set_result(result)
 
-    def abort(self, key: str, exc: BaseException) -> None:
-        """Retire a flight whose leader could not produce a result at
-        all (pool teardown mid-submit); followers see the exception."""
-        future = self._bucket(key).pop(key, None)
-        if future is not None and not future.done():
-            future.set_exception(exc)
+    def leave(self, key: str) -> bool:
+        """One waiter of *key*'s live flight withdrew.  Returns True when
+        it was the last: the flight's future is cancelled (so nothing
+        is ever set on a future nobody awaits, and a later identical
+        request starts a flight of its own), and the caller should
+        stop the work behind it."""
+        flight = self._flights[key]
+        flight.waiters -= 1
+        if flight.waiters:
+            return False
+        flight.future.cancel()
+        return True
+
+    def _retire(self, key: str, flight: _Flight) -> None:
+        if self._flights.get(key) is flight:
+            del self._flights[key]
 
     @property
     def in_flight(self) -> int:
-        return sum(len(bucket) for bucket in self._shards)
-
-    def pending_keys(self) -> List[str]:
-        return [key for bucket in self._shards for key in bucket]
+        return sum(not flight.future.done() for flight in self._flights.values())
 
     def stats(self) -> Dict[str, int]:
         return {
-            "shards": len(self._shards),
             "in_flight": self.in_flight,
             "flights": self.flights,
             "dedup_hits": self.dedup_hits,

@@ -135,7 +135,6 @@ class WorkerPool:
         cache_dir: Optional[str] = None,
         disk_cache: bool = True,
         artifacts: bool = True,
-        cache_shards: int = 1,
         mp_context: Optional[str] = None,
         trace: Optional[Dict[str, Any]] = None,
         registry=None,
@@ -149,7 +148,6 @@ class WorkerPool:
             "cache_dir": cache_dir,
             "disk_cache": disk_cache,
             "artifacts": artifacts,
-            "cache_shards": cache_shards,
             "trace": trace,
         }
         self.registry = registry if registry is not None else get_registry()

@@ -8,7 +8,7 @@ timeouts, instruction budgets, and crash isolation).
 
 Requests and responses are plain dataclasses with dict forms, shared
 with the JSON-lines protocols (``repro batch`` request files and the
-``repro serve --stdio`` daemon; see :mod:`repro.serve.stdio` and
+``repro serve`` daemon; see :mod:`repro.serve.net.server` and
 ``docs/serving.md``).
 
 Observability: when given a recording tracer the service wraps the

@@ -1,117 +1,66 @@
-"""``repro serve --stdio`` — a long-lived JSON-lines compile daemon.
+"""``repro serve --stdio`` — the daemon core over stdin and stdout.
 
-Protocol (one JSON document per line, in both directions):
+The protocol, control ops, admission, dedup, tracing and the drain are
+the daemon core's (:mod:`repro.serve.net.server`, where the protocol is
+documented; a worked transcript lives in ``docs/serving.md``).  This
+module is only the transport: stdin and stdout become the core's one
+connection, and the session ends when that connection does —
 
-* client → server, work requests::
-
-    {"id": 1, "op": "compile", "source": "(+ 1 2)"}
-    {"id": 2, "op": "run", "source": "(f 10)", "config": {...},
-     "max_instructions": 500000, "timeout": 5.0}
-
-* client → server, control requests::
-
-    {"id": 3, "op": "ping"}
-    {"id": 4, "op": "stats"}
-    {"id": 5, "op": "cancel", "target": 2}
-    {"id": 6, "op": "shutdown"}
-
-* server → client: one ``{"event": "ready", ...}`` line at startup,
-  then one response line per request, **in completion order** (match on
-  ``id``).  Work responses are the :class:`repro.serve.service.Response`
-  dict form; a request that cannot even be parsed gets
-  ``{"ok": false, "error_kind": "protocol", ...}``.
-
-A worked request/response transcript lives in ``docs/serving.md``.
-
-Requests are dispatched to the worker pool immediately, so a slow
-request does not block later ones, and a worker crash or timeout fails
-only the request that caused it.  ``shutdown``, EOF on stdin, and a
-broken stdout pipe all end the session through the same graceful
-drain the TCP front door uses (finish in flight, flush metrics,
-``bye``, exit 0); ``shutdown`` and a dead client additionally cancel
-queued requests, plain EOF lets them finish.
+* EOF on stdin while stdout is still writable is a half-close: every
+  admitted request is answered, then the daemon drains, says ``bye``
+  and exits 0;
+* a broken stdout pipe is a dead client: its requests are withdrawn,
+  the final metrics snapshot is still written, and the exit is 0.
 """
 
 from __future__ import annotations
 
-import json
+import asyncio
 import os
-import queue
 import sys
 import threading
-import time
-from typing import Any, Dict, Optional
+from typing import List, Optional
 
-from repro import __version__
-from repro.observe.catalog import declare
-from repro.observe.metrics import get_registry, render_openmetrics
-from repro.observe.recorder import get_flight_recorder
-from repro.serve.pool import WorkerPool
-from repro.serve.service import Request, response_from_task
+from repro.config import ServeConfig
+from repro.serve.net.server import PROTOCOL_VERSION, _LINE_LIMIT, run_daemon
 
-PROTOCOL_VERSION = 1
-
-_CONTROL_OPS = ("ping", "stats", "cancel", "shutdown", "metrics", "health")
-
-#: Seconds between periodic registry dumps when ``metrics_out`` is set.
-_METRICS_DUMP_INTERVAL = 5.0
+__all__ = ["PROTOCOL_VERSION", "serve_stdio"]
 
 
-class _Session:
-    """One daemon session over a pair of line streams."""
+def _fileno(stream) -> Optional[int]:
+    try:
+        return stream.fileno()
+    except (AttributeError, OSError, ValueError):
+        return None  # in-process streams (tests) have no fd
 
-    def __init__(
-        self,
-        stdin,
-        stdout,
-        pool: WorkerPool,
-        registry=None,
-        recorder=None,
-        flight_dir: Optional[str] = None,
-        metrics_out: Optional[str] = None,
-        reqtracer=None,
-    ) -> None:
+
+class _StdioPipe:
+    """stdin and stdout as one connection: the ``readline`` of a stream
+    reader and the ``write``/``drain``/``close`` of a stream writer."""
+
+    def __init__(self, stdin, stdout) -> None:
         self.stdin = stdin
         self.stdout = stdout
-        self.pool = pool
-        self.registry = registry if registry is not None else get_registry()
-        self.registry.enable()
-        self.recorder = recorder if recorder is not None else get_flight_recorder()
-        self.flight_dir = flight_dir
-        self.metrics_out = metrics_out
-        self.reqtracer = reqtracer
-        self.started_at = time.monotonic()
-        self._last_dump = self.started_at
-        self.tasks: Dict[int, Request] = {}  # task_id -> request
-        self.received_at: Dict[int, float] = {}  # task_id -> monotonic intake
-        self.traces: Dict[int, Any] = {}  # task_id -> RequestTrace
-        self.task_of_id: Dict[Any, int] = {}  # client id -> newest task_id
-        self.lines: "queue.Queue[Optional[str]]" = queue.Queue()
-        self.eof = False
-        self.shutting_down = False
-        self.client_gone = False
-        self.dropped_responses = 0
+        self._lines: Optional[asyncio.StreamReader] = None
+        self._eof = False
+        self._out: List[bytes] = []
 
-    # -- I/O ------------------------------------------------------------
+    def get_extra_info(self, name: str, default=None):
+        return default
 
-    def write(self, doc: Dict[str, Any]) -> None:
-        if self.client_gone:
-            self.dropped_responses += 1
-            return
-        try:
-            self.stdout.write(json.dumps(doc) + "\n")
-            self.stdout.flush()
-        except (BrokenPipeError, ConnectionResetError, ValueError, OSError):
-            # The client died mid-conversation (closed our stdout).
-            # That must not crash the daemon out of its drain: keep
-            # going — in-flight results still warm the shared cache and
-            # the final metrics snapshot still lands — there is just
-            # nobody left to write to.
-            self.client_gone = True
-            self.dropped_responses += 1
-            self.recorder.record("stdio.client-gone")
+    def can_write_eof(self) -> bool:
+        return False
 
-    def _reader(self) -> None:
+    async def readline(self) -> bytes:
+        if self._lines is None:
+            self._lines = asyncio.StreamReader(limit=_LINE_LIMIT)
+            threading.Thread(
+                target=self._read, args=(asyncio.get_running_loop(),),
+                daemon=True,
+            ).start()
+        return await self._lines.readline()
+
+    def _read(self, loop: asyncio.AbstractEventLoop) -> None:
         # Read the raw fd when there is one.  A thread blocked inside
         # sys.stdin's buffered read holds the stream's lock; a worker
         # forked at that moment inherits the held lock and deadlocks in
@@ -119,279 +68,58 @@ class _Session:
         # worker_main.  os.read holds no Python-level lock, so worker
         # spawns (including respawns after a crash) are safe while this
         # thread blocks here.
+        fd = _fileno(self.stdin)
         try:
-            fd: Optional[int] = self.stdin.fileno()
-        except (AttributeError, OSError, ValueError):
-            fd = None  # in-process streams (tests) have no fd
-        if fd is None:
-            for line in self.stdin:
-                self.lines.put(line)
-            self.lines.put(None)
-            return
-        buf = b""
-        while True:
-            try:
-                chunk = os.read(fd, 65536)
-            except OSError:
-                break
-            if not chunk:
-                break
-            buf += chunk
-            while b"\n" in buf:
-                line, buf = buf.split(b"\n", 1)
-                self.lines.put(line.decode("utf-8", errors="replace"))
-        if buf:
-            self.lines.put(buf.decode("utf-8", errors="replace"))
-        self.lines.put(None)
-
-    # -- request handling ----------------------------------------------
-
-    def handle_line(self, line: str) -> None:
-        intake_started = time.perf_counter_ns()
-        line = line.strip()
-        if not line:
-            return
-        try:
-            doc = json.loads(line)
-            if not isinstance(doc, dict):
-                raise ValueError("request must be a JSON object")
-        except ValueError as exc:
-            self._protocol_error(None, "?", f"unparseable request: {exc}")
-            return
-        op = doc.get("op")
-        if op in _CONTROL_OPS:
-            self.handle_control(doc)
-            return
-        try:
-            request = Request.from_dict(doc)
-        except (KeyError, ValueError, TypeError) as exc:
-            self._protocol_error(
-                doc.get("id"), str(op or "?"), f"bad request: {exc}"
-            )
-            return
-        trace = None
-        if self.reqtracer is not None:
-            trace = self.reqtracer.start(
-                traceparent=doc.get("traceparent"),
-                op=request.op,
-                id=request.id,
-            )
-        if trace is not None:
-            intake_ns = time.perf_counter_ns() - intake_started
-            trace.record(
-                "intake", trace.now_ns() - intake_ns, intake_ns,
-                bytes=len(line),
-            )
-        task_id = self.pool.submit(
-            request.op, request.payload(), timeout=request.timeout,
-            trace=trace.context() if trace is not None else None,
-        )
-        self.tasks[task_id] = request
-        self.received_at[task_id] = time.monotonic()
-        if trace is not None:
-            self.traces[task_id] = trace
-        if request.id is not None:
-            self.task_of_id[request.id] = task_id
-
-    def _protocol_error(self, rid: Any, op: str, message: str) -> None:
-        self.recorder.record("stdio.protocol-error", id=rid, op=op, error=message)
-        if self.registry.enabled:
-            declare(self.registry, "repro_requests").labels(
-                op=op, status="protocol"
-            ).inc()
-        self.write(
-            {"id": rid, "ok": False, "error_kind": "protocol", "error": message}
-        )
-
-    def handle_control(self, doc: Dict[str, Any]) -> None:
-        op = doc["op"]
-        rid = doc.get("id")
-        if op == "ping":
-            self.write({"id": rid, "ok": True, "pong": True})
-        elif op == "stats":
-            stats = self.pool.stats()
-            self.write({"id": rid, "ok": True, "stats": stats})
-        elif op == "cancel":
-            target = doc.get("target")
-            task_id = self.task_of_id.get(target)
-            cancelled = task_id is not None and self.pool.cancel(task_id)
-            self.write(
-                {"id": rid, "ok": True, "cancelled": bool(cancelled),
-                 "target": target}
-            )
-        elif op == "shutdown":
-            self.shutting_down = True
-            self.pool.cancel_pending()
-            self.write({"id": rid, "ok": True, "shutdown": True})
-        elif op == "metrics":
-            snapshot = self.registry.snapshot()
-            if doc.get("format") == "openmetrics":
-                self.write(
-                    {"id": rid, "ok": True, "openmetrics": render_openmetrics(snapshot)}
-                )
+            if fd is None:
+                for line in self.stdin:
+                    loop.call_soon_threadsafe(self._feed, line.encode())
             else:
-                self.write({"id": rid, "ok": True, "metrics": snapshot})
-        elif op == "health":
-            self.write(
-                {
-                    "id": rid,
-                    "ok": True,
-                    "health": {
-                        "status": "ok",
-                        "pid": os.getpid(),
-                        "version": __version__,
-                        "uptime_s": time.monotonic() - self.started_at,
-                        "jobs": self.pool.jobs,
-                        "queue_depth": self.pool.queue_depth,
-                        "in_flight": self.pool.in_flight,
-                        "flight_events": len(self.recorder),
-                    },
-                }
-            )
+                while True:
+                    try:
+                        chunk = os.read(fd, 65536)
+                    except OSError:
+                        break
+                    if not chunk:
+                        break
+                    loop.call_soon_threadsafe(self._feed, chunk)
+            loop.call_soon_threadsafe(self._feed, b"")
+        except RuntimeError:
+            pass  # the loop is closed: the session is already over
 
-    def drain_results(self, block: bool) -> None:
-        timeout = 0.05 if block else 0.0
-        for result in self.pool.poll(timeout):
-            request = self.tasks.pop(result.task_id, None)
-            received = self.received_at.pop(result.task_id, None)
-            if request is None:  # pragma: no cover - cancelled unknown task
-                continue
-            if request.id is not None and self.task_of_id.get(request.id) == result.task_id:
-                del self.task_of_id[request.id]
-            trace = self.traces.pop(result.task_id, None)
-            response = response_from_task(request, 0, result)
-            status = "ok" if response.ok else (response.error_kind or "error")
-            # Daemon-side end-to-end latency: intake to response.
-            elapsed = (
-                time.monotonic() - received
-                if received is not None
-                else response.queued_s + response.run_s
-            )
-            if self.registry.enabled:
-                declare(self.registry, "repro_requests").labels(
-                    op=response.op, status=status
-                ).inc()
-                declare(self.registry, "repro_request_seconds").labels(
-                    op=response.op
-                ).observe(max(0.0, elapsed))
-            self.recorder.record(
-                "stdio.response",
-                id=response.id,
-                op=response.op,
-                status=status,
-            )
-            doc = response.as_dict()
-            if trace is not None:
-                # Re-time the pool's latency split onto the wall clock
-                # (queue ends where the worker run began), then absorb
-                # the worker's compile spans under the run span.
-                queued_ns = int(result.queued_s * 1e9)
-                run_ns = int(result.run_s * 1e9)
-                run_start = trace.now_ns() - run_ns
-                trace.record("queue", run_start - queued_ns, queued_ns)
-                run_id = trace.record("run", run_start, run_ns)
-                if result.meta:
-                    trace.absorb_payload(
-                        result.meta.get("spans"), parent=run_id
-                    )
-                doc["traceparent"] = trace.traceparent()
-                respond_ns = trace.now_ns()
-                self.write(doc)
-                trace.record(
-                    "respond", respond_ns, trace.now_ns() - respond_ns
-                )
-                keep, _ = trace.finish(status, cached=response.cached)
-                if keep and self.reqtracer is not None:
-                    self.reqtracer.exemplar(
-                        "repro_request_seconds", ("op",), (response.op,),
-                        max(0.0, elapsed), trace.trace_id,
-                    )
-            else:
-                self.write(doc)
-
-    def _maybe_dump_metrics(self, force: bool = False) -> None:
-        if not self.metrics_out:
+    def _feed(self, data: bytes) -> None:
+        if self._eof:
             return
-        now = time.monotonic()
-        if force or now - self._last_dump >= _METRICS_DUMP_INTERVAL:
-            self._last_dump = now
-            self.registry.dump(self.metrics_out)
-
-    # -- main loop ------------------------------------------------------
-
-    def run(self) -> int:
-        try:
-            return self._run()
-        except Exception as exc:
-            # The daemon itself failed (not a request): preserve the
-            # recent event timeline as a post-mortem artifact.
-            self.recorder.record(
-                "stdio.daemon-error", error=f"{type(exc).__name__}: {exc}"
-            )
-            if self.flight_dir:
-                self.recorder.dump_to(
-                    self.flight_dir,
-                    "daemon-error",
-                    extra={"error": f"{type(exc).__name__}: {exc}"},
-                )
-                if self.registry.enabled:
-                    declare(self.registry, "repro_flight_dumps").labels(
-                        reason="daemon-error"
-                    ).inc()
-            raise
-
-    def _run(self) -> int:
-        self.write(
-            {
-                "event": "ready",
-                "protocol": PROTOCOL_VERSION,
-                "version": __version__,
-                "jobs": self.pool.jobs,
-            }
-        )
-        reader = threading.Thread(target=self._reader, daemon=True)
-        reader.start()
-        while True:
-            try:
-                line = self.lines.get(timeout=0.05)
-            except queue.Empty:
-                line = ""
-            if line is None:
-                self.eof = True
-            elif line:
-                self.handle_line(line)
-            self.drain_results(block=False)
-            self._maybe_dump_metrics()
-            if self.shutting_down or self.eof or self.client_gone:
-                break
-        if self.shutting_down:
-            reason = "shutdown-op"
-        elif self.client_gone:
-            reason = "client-gone"
+        if data:
+            self._lines.feed_data(data)
         else:
-            reason = "eof"
-        self.graceful_drain(reason)
-        return 0
+            self._eof = True
+            self._lines.feed_eof()
 
-    def graceful_drain(self, reason: str) -> None:
-        """The drain sequence the TCP front door uses
-        (:meth:`repro.serve.net.server.NetServer.drain`), for the stdio
-        transport: intake has stopped (EOF, ``shutdown``, or a dead
-        client pipe); cancel queued work when nobody will read the
-        answers; finish what is in flight, writing every response a
-        reader is still there for; flush the final metrics snapshot;
-        say ``bye``.  On plain EOF queued tasks still run — closing
-        stdin after a burst and reading all responses is a supported
-        client pattern (see tests/serve/test_stdio.py)."""
-        self.recorder.record(
-            "stdio.draining", reason=reason, in_flight=len(self.tasks)
-        )
-        if self.shutting_down or self.client_gone:
-            self.pool.cancel_pending()
-        while self.tasks:
-            self.drain_results(block=True)
-        self._maybe_dump_metrics(force=True)
-        self.write({"event": "bye"})
+    def write(self, data: bytes) -> None:
+        self._out.append(data)
+
+    async def drain(self) -> None:
+        data, self._out = b"".join(self._out), []
+        # The blocking write runs off the loop, so a slow reader stalls
+        # only its responses.
+        await asyncio.to_thread(self._write, data)
+
+    def _write(self, data: bytes) -> None:
+        fd = _fileno(self.stdout)
+        if fd is None:
+            self.stdout.write(data.decode())
+            self.stdout.flush()
+            return
+        # The raw fd again: no stream lock for a forked worker to
+        # inherit, and nothing left buffered in sys.stdout to fail at
+        # exit once the pipe is broken.
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+
+    def close(self) -> None:
+        if self._lines is not None:
+            self._feed(b"")
 
 
 def serve_stdio(
@@ -402,47 +130,37 @@ def serve_stdio(
     cache_dir: Optional[str] = None,
     disk_cache: bool = True,
     artifacts: bool = True,
+    serve_config: Optional[ServeConfig] = None,
     metrics_out: Optional[str] = None,
     flight_dir: Optional[str] = None,
     trace_dir: Optional[str] = None,
     trace_sample: float = 1.0,
 ) -> int:
-    """Run the daemon until ``shutdown`` or EOF; returns the exit code.
+    """Run the daemon over *stdin*/*stdout* until the session ends (see
+    the module docstring); returns the exit code.
 
     Work always goes through the pool — even at ``jobs=1`` — so a
     crashing program can never take the daemon itself down.
-
-    ``metrics_out`` (a JSON path) enables periodic registry snapshots —
-    the file ``repro metrics`` and ``repro top`` read; ``flight_dir``
-    enables flight-recorder dumps on worker crashes and daemon errors.
+    ``serve_config`` sets the admission bounds, dedup and the drain
+    grace (its address fields are unused); ``metrics_out`` (a JSON
+    path) enables periodic registry snapshots — the file ``repro
+    metrics`` and ``repro top`` read; ``flight_dir`` enables
+    flight-recorder dumps on worker crashes and daemon errors.
     """
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
-    # A daemon's metrics cover its own lifetime: start from a clean
-    # registry (also keeps back-to-back in-process sessions independent).
-    registry = get_registry()
-    registry.clear()
-    registry.enable()
-    from repro.observe.reqtrace import build_reqtracer
-
-    reqtracer = build_reqtracer(
-        trace_dir, sample=trace_sample, registry=registry, service="stdio"
+    pipe = _StdioPipe(
+        stdin if stdin is not None else sys.stdin,
+        stdout if stdout is not None else sys.stdout,
     )
-    with WorkerPool(
+    return run_daemon(
+        pipe,
+        serve_config=serve_config,
+        trace_dir=trace_dir,
+        trace_sample=trace_sample,
         jobs=jobs,
         cache=cache,
         cache_dir=cache_dir,
         disk_cache=disk_cache,
         artifacts=artifacts,
-        registry=registry,
+        metrics_out=metrics_out,
         flight_dir=flight_dir,
-    ) as pool:
-        return _Session(
-            stdin,
-            stdout,
-            pool,
-            registry=registry,
-            flight_dir=flight_dir,
-            metrics_out=metrics_out,
-            reqtracer=reqtracer,
-        ).run()
+    )

@@ -16,6 +16,7 @@ fails only its own task (see :mod:`repro.serve.pool`).
 from __future__ import annotations
 
 import os
+import signal
 import time
 from typing import Any, Callable, Dict, Optional
 
@@ -191,32 +192,26 @@ def worker_main(worker_id: int, inbox, outbox, init: Dict[str, Any]) -> None:
     each result, so the parent's merged registry equals what a single
     process would have recorded.
     """
+    # A daemon's drain handlers (asyncio's no-op SIGTERM/SIGINT
+    # handlers and its wakeup fd) are inherited across a fork; a worker
+    # must stay killable by the pool's terminate().
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     registry = get_registry()
     registry.enable()
     registry.clear()  # drop anything inherited across a fork
     trace_ctx = init.get("trace")
     state: Dict[str, Any] = {}
     if init.get("cache", True):
-        shards = init.get("cache_shards", 1) or 1
-        if shards > 1:
-            from repro.serve.cache import ShardedCompileCache
+        from repro.serve.cache import CompileCache
 
-            state["cache"] = ShardedCompileCache(
-                root=init.get("cache_dir"),
-                shards=shards,
-                disk=init.get("disk_cache", True),
-                artifacts=init.get("artifacts", True),
-                registry=registry,
-            )
-        else:
-            from repro.serve.cache import CompileCache
-
-            state["cache"] = CompileCache(
-                root=init.get("cache_dir"),
-                disk=init.get("disk_cache", True),
-                artifacts=init.get("artifacts", True),
-                registry=registry,
-            )
+        state["cache"] = CompileCache(
+            root=init.get("cache_dir"),
+            disk=init.get("disk_cache", True),
+            artifacts=init.get("artifacts", True),
+            registry=registry,
+        )
     while True:
         try:
             message = inbox.get()
@@ -225,7 +220,7 @@ def worker_main(worker_id: int, inbox, outbox, init: Dict[str, Any]) -> None:
         if message is None:
             return
         task_id, kind, payload, task_trace = message
-        # Per-task request-trace context (front door / stdio daemon)
+        # Per-task request-trace context (the serve daemon)
         # wins over the pool-static one (repro batch --trace).
         ctx = task_trace or trace_ctx
         base = registry.snapshot()

@@ -360,49 +360,3 @@ def test_verify_scans_and_removes_corrupt_entries(tmp_path):
     assert fresh.disk_usage()[0] == 1
     # After removal the store is clean.
     assert CompileCache(root=str(tmp_path)).verify()["corrupt"] == 0
-
-
-# -- sharding ---------------------------------------------------------
-
-
-def test_shard_index_is_stable_and_in_range():
-    from repro.serve.cache import shard_index
-
-    key = cache_key(TAK, CompilerConfig())
-    assert 0 <= shard_index(key, 8) < 8
-    assert shard_index(key, 8) == shard_index(key, 8)
-    assert shard_index(key, 1) == 0
-
-
-def test_sharded_cache_round_trip_and_shared_disk(tmp_path):
-    from repro.serve.cache import ShardedCompileCache
-
-    sharded = ShardedCompileCache(root=str(tmp_path), shards=4)
-    compiled, hit = sharded.compile(TAK, CompilerConfig())
-    assert not hit
-    _, hit = sharded.compile(TAK, CompilerConfig())
-    assert hit
-    assert run_compiled(compiled).value is not None
-    # The shards share one disk root: a plain cache over the same root
-    # (any shard count) sees the entry.
-    plain = CompileCache(root=str(tmp_path))
-    _, hit = plain.compile(TAK, CompilerConfig())
-    assert hit
-    other = ShardedCompileCache(root=str(tmp_path), shards=8)
-    _, hit = other.compile(TAK, CompilerConfig())
-    assert hit
-
-
-def test_sharded_cache_spreads_memory_entries(tmp_path):
-    from repro.serve.cache import ShardedCompileCache, shard_index
-
-    sharded = ShardedCompileCache(root=str(tmp_path), shards=4, memory_entries=64)
-    sources = [f"(+ {i} {i})" for i in range(24)]
-    buckets = set()
-    for source in sources:
-        sharded.compile(source, CompilerConfig())
-        buckets.add(shard_index(cache_key(source, CompilerConfig()), 4))
-    assert len(buckets) > 1  # the keyspace actually spreads
-    stats = sharded.stats
-    assert stats.misses == len(sources)
-    assert stats.stores == len(sources)

@@ -281,6 +281,73 @@ def test_requests_after_drain_are_rejected():
         client.close()
 
 
+def test_control_op_answers_after_earlier_requests_reach_the_pool():
+    # A control op sent right behind a work request on the same
+    # connection must see that request counted: the daemon answers it
+    # only once every earlier line has reached the pool.
+    from repro.observe.metrics import MetricsRegistry
+
+    with BackgroundServer(
+        jobs=1, disk_cache=False, registry=MetricsRegistry()
+    ) as bg:
+        client = _Client(bg.address)
+        client.sock.sendall(
+            (
+                json.dumps({"id": 1, "op": "compile", "source": "(+ 1 2)"})
+                + "\n"
+                + json.dumps({"id": 2, "op": "metrics"})
+                + "\n"
+            ).encode()
+        )
+        by_id = {}
+        while len(by_id) < 2:
+            doc = client.recv_response()
+            by_id[doc["id"]] = doc
+        assert by_id[2]["metrics"]["counters"]["repro_pool_submitted"] == 1
+        client.close()
+
+
+def test_cancel_frees_the_worker():
+    # jobs=1: cancelling an unbudgeted endless run must terminate its
+    # worker, or the next request would wait behind it forever.
+    endless = "(define (spin n) (if (= n 0) 0 (spin (- n 1)))) (spin 1000000000)"
+    with BackgroundServer(jobs=1, disk_cache=False) as bg:
+        client = _Client(bg.address, timeout=15.0)
+        client.send({"id": "spin", "op": "run", "source": endless})
+        client.send({"id": "c", "op": "cancel", "target": "spin"})
+        client.send({"id": "next", "op": "run", "source": "(+ 3 4)"})
+        by_id = {}
+        while len(by_id) < 3:
+            doc = client.recv_response()
+            by_id[doc["id"]] = doc
+        assert by_id["c"]["cancelled"] is True
+        assert by_id["spin"]["error_kind"] == "cancelled"
+        assert by_id["next"]["value"] == "7"
+        client.close()
+
+
+def test_cancelling_a_leader_keeps_the_flight_for_its_follower():
+    with BackgroundServer(jobs=1, disk_cache=False) as bg:
+        leader = _Client(bg.address)
+        follower = _Client(bg.address)
+        # A ping behind each line: the leader's request is in flight
+        # before the follower's, and both are before the cancel.
+        leader.send({"id": "L", "op": "run", "source": SLOW})
+        assert leader.request({"id": "p", "op": "ping"})["pong"]
+        follower.send({"id": "F", "op": "run", "source": SLOW})
+        assert follower.request({"id": "p", "op": "ping"})["pong"]
+        cancel = leader.request({"id": "c", "op": "cancel", "target": "L"})
+        assert cancel["cancelled"] is True
+        assert leader.recv_response()["error_kind"] == "cancelled"
+        response = follower.recv_response()
+        assert response["id"] == "F" and response.get("deduped") is True
+        assert response["ok"] and response["value"] == "0"
+        stats = follower.request({"id": "s", "op": "stats"})["stats"]
+        assert stats["pool"]["cancelled"] == 0
+        leader.close()
+        follower.close()
+
+
 # ---------------------------------------------------------------------------
 # Request tracing
 # ---------------------------------------------------------------------------
@@ -476,7 +543,7 @@ def test_flight_table_join_resolve():
     import asyncio
 
     async def body():
-        table = FlightTable(shards=4)
+        table = FlightTable()
         leader, f1 = table.join("ab1234:compile:None")
         follower, f2 = table.join("ab1234:compile:None")
         assert leader and not follower

@@ -108,7 +108,7 @@ def test_bad_request_shape_is_protocol_error():
 
 def test_stats_control():
     docs, _ = _serve([{"id": "s", "op": "stats"}, {"op": "shutdown"}])
-    stats = _by_id(docs)["s"]["stats"]
+    stats = _by_id(docs)["s"]["stats"]["pool"]
     assert stats["jobs"] == 1
     assert "queue_depth" in stats
 
@@ -302,3 +302,99 @@ def test_daemon_subprocess_round_trip():
     docs = [json.loads(line) for line in proc.stdout.splitlines()]
     assert _by_id(docs)[1]["value"] == "42"
     assert docs[-1]["event"] == "bye"
+
+
+#: A few hundred ms in a worker: lines sent together with it are all
+#: read while it is still unresolved.
+SLOW = "(define (spin n) (if (= n 0) 0 (spin (- n 1)))) (spin 2000000)"
+
+
+def test_admission_bounds_a_burst():
+    from repro.config import ServeConfig
+
+    lines = [
+        {"id": i, "op": "run", "source": SLOW + " " * i} for i in range(5)
+    ]
+    docs, code = _serve(
+        lines, serve_config=ServeConfig(max_pending_per_tenant=2)
+    )
+    assert code == 0
+    responses = [d for d in docs if "event" not in d]
+    assert sorted(d["id"] for d in responses) == list(range(5))
+    ok = [d for d in responses if d["ok"]]
+    overloaded = [d for d in responses if d.get("error_kind") == "overloaded"]
+    assert len(ok) == 2 and len(overloaded) == 3
+    assert {d["reason"] for d in overloaded} == {"tenant-queue-full"}
+    assert docs[-1]["event"] == "bye"
+
+
+def test_identical_runs_are_deduped():
+    docs, code = _serve(
+        [
+            {"id": 1, "op": "run", "source": SLOW},
+            {"id": 2, "op": "run", "source": SLOW},
+        ]
+    )
+    assert code == 0
+    by_id = _by_id(docs)
+    assert by_id[1]["value"] == by_id[2]["value"] == "0"
+    assert [by_id[i].get("deduped", False) for i in (1, 2)].count(True) == 1
+
+
+def _daemon(*args):
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src"
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--stdio", "--no-cache", *args],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
+    )
+
+
+def test_subprocess_client_death_exits_cleanly(tmp_path):
+    # Real pipes: the client reads the banner, then closes its end of
+    # the daemon's stdout, so every response write hits EPIPE.  The
+    # dead client's requests are withdrawn and the daemon still drains
+    # to exit 0 with its final metrics snapshot written.
+    metrics_out = tmp_path / "metrics.json"
+    proc = _daemon("--metrics-out", str(metrics_out))
+    assert json.loads(proc.stdout.readline())["event"] == "ready"
+    proc.stdout.close()
+    lines = [
+        {"id": 1, "op": "run", "source": SLOW},
+        {"id": 2, "op": "run", "source": "(+ 1 2)"},
+        {"id": 3, "op": "ping"},
+    ]
+    proc.stdin.write("".join(json.dumps(line) + "\n" for line in lines).encode())
+    proc.stdin.close()
+    assert proc.wait(timeout=60) == 0
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert "Traceback" not in stderr, stderr
+    assert json.loads(metrics_out.read_text())["counters"]
+
+
+def test_subprocess_eof_burst_answers_every_id():
+    # Real pipes, no shutdown line: closing stdin is a half-close, so
+    # every request is answered before bye.
+    proc = _daemon()
+    lines = [
+        {"id": i, "op": "run", "source": f"(* {i} 2)"} for i in range(6)
+    ]
+    out, err = proc.communicate(
+        "".join(json.dumps(line) + "\n" for line in lines).encode(), timeout=60
+    )
+    assert proc.returncode == 0, err.decode()
+    docs = [json.loads(line) for line in out.decode().splitlines()]
+    assert docs[-1]["event"] == "bye"
+    by_id = _by_id(docs)
+    assert {i: by_id[i]["value"] for i in range(6)} == {
+        i: str(i * 2) for i in range(6)
+    }

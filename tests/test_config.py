@@ -169,8 +169,6 @@ class TestServeConfig:
             ServeConfig(max_pending_per_tenant=0)
         with pytest.raises(ValueError):
             ServeConfig(drain_grace_s=-1)
-        with pytest.raises(ValueError):
-            ServeConfig(cache_shards=0)
 
     def test_parse_address(self):
         import pytest

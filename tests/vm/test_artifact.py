@@ -14,7 +14,7 @@ import pytest
 
 from repro.config import CompilerConfig
 from repro.pipeline import compile_source, run_compiled
-from repro.serve.cache import CompileCache, ShardedCompileCache
+from repro.serve.cache import CompileCache
 from repro.sexp.writer import write_datum
 from repro.vm import artifact as artifact_mod
 from repro.vm.artifact import (
@@ -190,18 +190,3 @@ def test_artifact_disabled_configs_skip_the_tier(tmp_path):
         cache.compile(SOURCE, config)
         assert cache.stats.artifact_stores == 0
         assert cache.entries(tier="artifacts") == []
-
-
-def test_sharded_and_plain_caches_interoperate(tmp_path):
-    root = str(tmp_path)
-    config = CompilerConfig()
-    ShardedCompileCache(root=root, shards=4).compile(SOURCE, config)
-    plain = CompileCache(root=root)
-    _, hit = plain.compile(SOURCE, config)
-    assert hit
-    assert plain.stats.artifact_hits == 1
-
-    sharded = ShardedCompileCache(root=root, shards=4)
-    _, hit = sharded.compile(SOURCE, config)
-    assert hit
-    assert sharded.stats.artifact_hits == 1
