@@ -31,7 +31,6 @@ _EXPORTS = {
     "CostModel": "repro.config",
     "CompilerError": "repro.errors",
     "SchemeError": "repro.runtime.values",
-    "CompileTimes": "repro.pipeline",
     "ExecutionResult": "repro.pipeline",
     "compile_source": "repro.pipeline",
     "expand_source": "repro.pipeline",

@@ -85,9 +85,10 @@ def run_benchmark(
     """Compile and execute one benchmark, checking its value against
     the reference interpreter.
 
-    Pass a ``repro.observe.Tracer`` to record per-phase compile spans
-    (and, with ``profile=True``, a per-procedure VM profile on
-    ``run.result.profile``).
+    Pass a ``repro.observe.Tracer`` to record per-pass compile spans and
+    the ``execute`` span (with ``profile=True``, the per-procedure VM
+    profile too: on ``run.result.profile`` and as ``execute``'s
+    children).
 
     ``cache`` controls the process-wide compile cache: ``None`` (the
     default) uses it unless a recording tracer is attached — cached

@@ -35,7 +35,7 @@ from repro.benchsuite.programs import BENCHMARKS, get_benchmark
 from repro.benchsuite.runner import run_benchmark
 from repro.config import CompilerConfig, CostModel
 from repro.core.shuffle import dependency_edges, minimum_evictions
-from repro.pipeline import CompileTimes, compile_source, run_compiled
+from repro.pipeline import compile_source, run_compiled
 from repro.vm.callgraph import CATEGORIES
 
 # The paper's table rows: the Gabriel suite plus the application-scale
@@ -381,10 +381,9 @@ def compile_time_profile(
     """Fraction of compile time spent in register allocation (the
     paper reports ~7% for Chez).
 
-    Timings come from the ``repro.observe`` tracer (one span per pass,
-    aggregated over *repeats*); the :class:`CompileTimes` path stays
-    available for callers that pass their own accumulator to
-    :func:`compile_source`.
+    Timings are the tracer's pass records (one per pass, summed over
+    *repeats*); the enclosing ``compile`` span is left out so no time
+    counts twice.
     """
     from repro.observe import Tracer
 
@@ -394,15 +393,18 @@ def compile_time_profile(
             compile_source(
                 get_benchmark(name).source, CompilerConfig(), tracer=tracer
             )
-    phases = tracer.pass_timings()
-    phases.pop("compile", None)  # the parent span double-counts
-    times = CompileTimes()
-    for phase, seconds in phases.items():
-        times.record(phase, seconds)
+    phases: Dict[str, float] = {}
+    for record in tracer.records:
+        if record["name"] != "compile":
+            seconds = record["dur_ns"] / 1e9
+            phases[record["name"]] = phases.get(record["name"], 0.0) + seconds
+    total = sum(phases.values())
     return {
-        "phases": dict(times.phases),
-        "total-seconds": times.total,
-        "register-allocation-fraction": times.register_allocation_fraction(),
+        "phases": phases,
+        "total-seconds": total,
+        "register-allocation-fraction": (
+            phases.get("allocate", 0.0) / total if total else 0.0
+        ),
     }
 
 

@@ -2,7 +2,8 @@
 
     python -m repro run program.scm --save-strategy late
     python -m repro run program.scm --json
-    python -m repro trace program.scm --out trace.json
+    python -m repro run program.scm --trace-dir traces
+    python -m repro spans export --trace-dir traces -o trace.json
     python -m repro disasm program.scm --proc tak
     python -m repro expand program.scm
     python -m repro bench tak deriv --baseline
@@ -20,6 +21,7 @@ paper's design space can be explored from the shell.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -39,7 +41,8 @@ from repro.config import (
     SHUFFLE_STRATEGIES,
 )
 from repro.errors import CompilerError, FuzzError, ServeError
-from repro.observe import Tracer, chrome_trace, metrics_dict, text_profile
+from repro.observe import NULL_TRACER, Tracer, metrics_dict
+from repro.observe.reqtrace import build_reqtracer
 from repro.pipeline import compile_source, expand_source, run_compiled
 from repro.runtime.values import SchemeError
 from repro.sexp.reader import ReaderError
@@ -129,13 +132,7 @@ def _add_observe_flags(parser: argparse.ArgumentParser) -> None:
         help="where flight-recorder crash dumps go "
         "(default: $REPRO_FLIGHT_DIR, else disabled)",
     )
-    group.add_argument(
-        "--trace-dir",
-        metavar="DIR",
-        default=ObserveConfig.from_env().trace_dir,
-        help="request-trace span store directory "
-        "(default: $REPRO_TRACE_DIR, else tracing disabled)",
-    )
+    _add_trace_dir_flag(group)
     group.add_argument(
         "--trace-sample",
         type=float,
@@ -143,6 +140,16 @@ def _add_observe_flags(parser: argparse.ArgumentParser) -> None:
         metavar="RATE",
         help="tail-sampling keep rate for ok traces in [0,1] "
         "(errors and the slowest requests are always kept; default 1.0)",
+    )
+
+
+def _add_trace_dir_flag(parser) -> None:
+    parser.add_argument(
+        "--trace-dir",
+        metavar="DIR",
+        default=ObserveConfig.from_env().trace_dir,
+        help="span store directory to trace into; read it back with "
+        "'repro spans' (default: $REPRO_TRACE_DIR, else tracing off)",
     )
 
 
@@ -192,32 +199,47 @@ def _write_out(path: Optional[str], payload: str) -> None:
             handle.write(payload)
 
 
+@contextlib.contextmanager
+def _traced(reqtracer, name: str, **attrs):
+    """One CLI operation's trace in the span store, or None when
+    tracing is off (*reqtracer* is None).  The trace finishes with the
+    error kind when the operation raises."""
+    trace = reqtracer.start(name=name, **attrs) if reqtracer is not None else None
+    try:
+        yield trace
+    except BaseException as exc:
+        if trace is not None:
+            from repro.serve.work import error_kind
+
+            trace.finish(error_kind(exc))
+        raise
+    if trace is not None:
+        trace.finish("ok")
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     source = _read_program(args.file)
     config = _config_from(args)
-    tracing = bool(args.trace or args.json)
-    tracer = Tracer() if tracing else None
-    compiled = compile_source(
-        source, config, prelude=not args.no_prelude, tracer=tracer
-    )
-    result = run_compiled(
-        compiled, debug=args.vm_debug, tracer=tracer, profile=tracing
-    )
-    if args.trace:
-        _write_out(
-            args.trace,
-            json.dumps(
-                chrome_trace(tracer, counters=result.counters, profile=result.profile)
-            ),
+    reqtracer = build_reqtracer(args.trace_dir, service="run")
+    with _traced(reqtracer, "run") as trace:
+        tracer = trace or (Tracer() if args.json else NULL_TRACER)
+        compiled = compile_source(
+            source, config, prelude=not args.no_prelude, tracer=tracer
         )
+        result = run_compiled(
+            compiled, debug=args.vm_debug, tracer=tracer,
+            profile=tracer.enabled,
+        )
+        if args.json:
+            doc = metrics_dict(
+                tracer.records,
+                counters=result.counters,
+                value=write_datum(result.value),
+                output=result.output,
+            )
+    if trace is not None:
+        print(f"; trace {trace.trace_id} in {args.trace_dir}", file=sys.stderr)
     if args.json:
-        doc = metrics_dict(
-            counters=result.counters,
-            tracer=tracer,
-            profile=result.profile,
-            value=write_datum(result.value),
-            output=result.output,
-        )
         print(json.dumps(doc, indent=2))
         return 0
     if result.output:
@@ -235,47 +257,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"; calls        {c.calls} (+{c.tail_calls} tail)", file=sys.stderr)
         f = result.classifier.effective_leaf_fraction
         print(f"; eff. leaves  {f:.1%}", file=sys.stderr)
-    return 0
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    source = _read_program(args.file)
-    config = _config_from(args).with_(trace="all")
-    tracer = Tracer()
-    compiled = compile_source(
-        source, config, prelude=not args.no_prelude, tracer=tracer
-    )
-    result = run_compiled(
-        compiled, debug=args.vm_debug, tracer=tracer, profile=True
-    )
-    profile = result.profile if (args.profile or args.format != "chrome") else None
-    if args.format == "chrome":
-        payload = json.dumps(
-            chrome_trace(
-                tracer,
-                counters=result.counters,
-                profile=result.profile if args.profile else None,
-            )
-        )
-    elif args.format == "json":
-        payload = json.dumps(
-            metrics_dict(
-                counters=result.counters,
-                tracer=tracer,
-                profile=profile,
-                value=write_datum(result.value),
-                output=result.output,
-            ),
-            indent=2,
-        )
-    else:
-        payload = text_profile(
-            counters=result.counters, tracer=tracer, profile=profile
-        )
-    _write_out(args.out, payload)
-    print(f"; value {write_datum(result.value)}", file=sys.stderr)
-    if args.out and args.out != "-":
-        print(f"; trace written to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -393,7 +374,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     shuffles = (
         SHUFFLE_STRATEGIES if shuffle_sweep else (config.shuffle_strategy,)
     )
-    tracer = Tracer() if args.trace else None
+    reqtracer = build_reqtracer(args.trace_dir, service="bench")
     rows = []
     alloc_col = f"{'allocator':>11s} " if sweep else ""
     shuffle_col = f"{'shuffle':>9s} " if shuffle_sweep else ""
@@ -415,14 +396,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
             run_config = config.with_(
                 allocator=allocator, shuffle_strategy=shuffle
             )
-            span = tracer.span("bench", benchmark=name) if tracer else None
-            if span:
-                with span:
-                    run = run_benchmark(
-                        name, run_config, debug=args.vm_debug, tracer=tracer
-                    )
-            else:
-                run = run_benchmark(name, run_config, debug=args.vm_debug)
+            with _traced(
+                reqtracer, "bench", benchmark=name, allocator=allocator,
+                shuffle=shuffle,
+            ) as trace:
+                run = run_benchmark(
+                    name, run_config, debug=args.vm_debug, tracer=trace
+                )
             c = run.counters
             if args.json:
                 row = {
@@ -453,9 +433,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 )
     if args.json:
         print(json.dumps(rows, indent=2))
-    if tracer is not None:
-        _write_out(args.trace, json.dumps(chrome_trace(tracer)))
-        print(f"; trace written to {args.trace}", file=sys.stderr)
+    if reqtracer is not None:
+        print(f"; traces in {args.trace_dir}", file=sys.stderr)
     if args.history:
         record = {
             "kind": "bench",
@@ -764,14 +743,11 @@ def cmd_batch(args: argparse.Namespace) -> int:
     from repro.serve.service import BatchService, summarize
 
     requests = _batch_requests(args)
-    tracer = Tracer() if args.trace else None
     # One batch = one metrics lifetime: the snapshot written below covers
     # exactly this run (matters for in-process main() reuse too).
     from repro.observe.metrics import get_registry
 
     get_registry().clear()
-    from repro.observe.reqtrace import build_reqtracer
-
     reqtracer = build_reqtracer(
         args.trace_dir,
         sample=args.trace_sample,
@@ -784,7 +760,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         disk_cache=not args.memory_cache,
         artifacts=not args.no_artifacts,
-        tracer=tracer,
         flight_dir=args.flight_dir,
         reqtracer=reqtracer,
     )
@@ -813,12 +788,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         )
         for kind, count in sorted(summary["errors"].items()):
             print(f";   {kind}: {count}", file=sys.stderr)
-    if tracer is not None:
-        _write_out(
-            args.trace,
-            json.dumps(chrome_trace(tracer, workers=service.worker_spans)),
-        )
-        print(f"; trace written to {args.trace}", file=sys.stderr)
     metrics_out = _metrics_out_path(args)
     if metrics_out:
         service.write_metrics(metrics_out)
@@ -1221,11 +1190,16 @@ def cmd_spans(args: argparse.Namespace) -> int:
                 )
         return 0
 
-    # export
-    records = load(args.trace)
-    if records is None:
-        return 1
-    doc = spanstore.chrome_trace_from_records(records)
+    # export: one trace, or with no id the whole store as one timeline
+    from repro.observe.export import chrome_trace
+
+    if args.trace is None:
+        records = list(spanstore.iter_records(directory))
+    else:
+        records = load(args.trace)
+        if records is None:
+            return 1
+    doc = chrome_trace(records)
     payload = json.dumps(doc, indent=2)
     if args.out:
         with open(args.out, "w") as handle:
@@ -1268,34 +1242,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print value, counters and per-pass metrics as JSON",
     )
-    p_run.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="write a Chrome trace_event JSON of the compile+run",
-    )
+    _add_trace_dir_flag(p_run)
     _add_config_flags(p_run)
     p_run.set_defaults(fn=cmd_run)
-
-    p_trace = sub.add_parser(
-        "trace", help="compile+run with full tracing and profiling"
-    )
-    p_trace.add_argument("file", help="Scheme source file, or - for stdin")
-    p_trace.add_argument(
-        "--out", metavar="PATH", help="output path (default: stdout)"
-    )
-    p_trace.add_argument(
-        "--format",
-        choices=["chrome", "json", "text"],
-        default="chrome",
-        help="chrome trace_event JSON, flat metrics JSON, or text profile",
-    )
-    p_trace.add_argument(
-        "--profile",
-        action="store_true",
-        help="include the per-procedure profile in chrome output",
-    )
-    _add_config_flags(p_trace)
-    p_trace.set_defaults(fn=cmd_trace)
 
     p_dis = sub.add_parser("disasm", help="show generated code")
     p_dis.add_argument("file")
@@ -1319,11 +1268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--json", action="store_true", help="emit rows as JSON"
     )
-    p_bench.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="write a Chrome trace of per-benchmark compile spans",
-    )
+    _add_trace_dir_flag(p_bench)
     p_bench.add_argument(
         "--baseline-out",
         metavar="PATH",
@@ -1543,11 +1488,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="emit one summary document instead of per-response lines",
-    )
-    p_batch.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="write a Chrome trace merging worker compile spans",
     )
     _add_observe_flags(p_batch)
     _add_config_flags(p_batch)
@@ -1859,7 +1799,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_top.set_defaults(fn=cmd_top)
 
     p_spans = sub.add_parser(
-        "spans", help="inspect the request-trace span store"
+        "spans", help="inspect the span store (--trace-dir)"
     )
     span_sub = p_spans.add_subparsers(dest="action", required=True)
 
@@ -1900,12 +1840,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _span_store_flags(sp_slow)
     sp_export = span_sub.add_parser(
-        "export", help="export one trace as Chrome trace_event JSON"
+        "export", help="export traces as Chrome trace_event JSON"
     )
-    sp_export.add_argument("trace", help="trace id or unique prefix")
     sp_export.add_argument(
-        "--chrome", action="store_true",
-        help="Chrome trace_event format (the only format; default)",
+        "trace", nargs="?",
+        help="trace id or unique prefix (default: the whole store, "
+        "as one timeline)",
     )
     sp_export.add_argument(
         "-o", "--out", metavar="PATH", help="output path (default: stdout)"

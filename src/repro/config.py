@@ -24,7 +24,6 @@ SAVE_CONVENTIONS = ("caller", "callee")
 # the ablation the paper never had.
 ALLOCATOR_STRATEGIES = ("lazy", "linearscan", "graphcolor")
 BRANCH_PREDICTION_MODES = (None, "static-calls", "fallthrough")
-TRACE_MODES = ("off", "compile", "vm", "all")
 
 
 @dataclass(frozen=True)
@@ -100,11 +99,6 @@ class CompilerConfig:
         ``None`` — no prediction cost modelling; ``"static-calls"`` —
         the §6 heuristic (call-free paths predicted likely);
         ``"fallthrough"`` — predict not-taken everywhere (baseline).
-    trace:
-        Observability mode (``repro.observe``): ``"off"`` — the no-op
-        null tracer (the default; zero hot-path cost); ``"compile"`` —
-        record per-pass compile spans; ``"vm"`` — per-procedure VM
-        profiles; ``"all"`` — both.
     vm_fast:
         Use the VM fast path (``repro.vm.predecode``): instructions are
         pre-decoded to a flat specialized form and common idioms fused
@@ -145,7 +139,6 @@ class CompilerConfig:
     shuffle_strategy: str = "greedy"
     save_convention: str = "caller"
     branch_prediction: Optional[str] = None
-    trace: str = "off"
     vm_fast: bool = True
     artifact_cache: bool = True
     aot_direct_calls: bool = True
@@ -169,8 +162,6 @@ class CompilerConfig:
             raise ValueError(
                 f"unknown branch prediction mode: {self.branch_prediction}"
             )
-        if self.trace not in TRACE_MODES:
-            raise ValueError(f"unknown trace mode: {self.trace}")
         if self.num_arg_regs < 0 or self.num_temp_regs < 0:
             raise ValueError("register counts must be non-negative")
         if self.lambda_lift_max_params < 0:

@@ -1,17 +1,17 @@
 """``repro.observe`` — tracing, metrics, and profiling.
 
-The subsystem the paper's evaluation section implies: spans over every
-compiler pass, per-procedure VM profiles that attribute the Table 3 /
-Figure 2 counters to code objects, and exporters for Chrome
-``trace_event`` JSON, flat metrics JSON, and human-readable text.
+The subsystem the paper's evaluation section implies: one span record
+for every compiler pass, VM run and request step, per-procedure VM
+profiles that attribute the Table 3 / Figure 2 counters to code
+objects, and exporters for Chrome ``trace_event`` JSON and flat
+metrics JSON.
 
 The default :data:`NULL_TRACER` is a no-op; hot paths guard on
 ``tracer.enabled`` (or ``profiler is None``) so observability costs
 nothing when off.
 """
 
-from repro.observe.events import Event, Span
-from repro.observe.export import chrome_trace, metrics_dict, text_profile
+from repro.observe.export import chrome_trace, metrics_dict
 from repro.observe.metrics import (
     REGISTRY,
     Counter,
@@ -45,26 +45,21 @@ from repro.observe.tracer import (
     NullTracer,
     TraceError,
     Tracer,
+    new_span_id,
     new_trace_id,
-    span_payload,
-    tracer_for,
 )
 
 __all__ = [
-    "Event",
-    "Span",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
     "TraceError",
-    "tracer_for",
     "new_trace_id",
-    "span_payload",
+    "new_span_id",
     "ProcProfile",
     "VMProfiler",
     "chrome_trace",
     "metrics_dict",
-    "text_profile",
     "Counter",
     "Gauge",
     "Histogram",

@@ -1,146 +1,76 @@
-"""Exporters for trace/metrics/profile data.
-
-Three output shapes:
+"""Exporters over span records (:mod:`repro.observe.tracer`).
 
 * :func:`chrome_trace` — the Chrome ``trace_event`` JSON object format,
-  loadable in ``chrome://tracing`` and Perfetto.  Spans become complete
-  (``"ph": "X"``) events, point events become instants (``"ph": "i"``),
-  and the per-procedure profile rides along as instant events on a
-  separate "vm profile" thread.
-* :func:`metrics_dict` — a flat JSON-able dict: counters (via
-  ``Counters.as_dict``), per-pass timings and stats, and the optional
-  per-procedure profile table.  This is what ``repro run --json``
-  prints.
-* :func:`text_profile` — a human-readable report: pass timing table,
-  counter summary, and a hot-procedure ranking.
+  loadable in ``chrome://tracing`` and Perfetto: one process row per
+  pid, one thread row per trace, every record a complete (``"ph":
+  "X"``) event.  The per-procedure VM profile rides along as the
+  zero-duration children of ``execute``.  ``repro spans export``
+  writes it.
+* :func:`metrics_dict` — the flat metrics document ``repro run --json``
+  prints: counters, per-pass timings and stats, and the per-procedure
+  profile table.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
-_PID = 1
-_TID_COMPILE = 1
-_TID_PROFILE = 2
+from repro.observe.profile import PROC_PREFIX
 
 
-def chrome_trace(tracer, counters=None, profile=None, workers=None) -> Dict[str, Any]:
-    """Chrome ``trace_event`` JSON (the object format, so metadata can
-    ride along in ``otherData``).
-
-    *workers* is an optional list of worker span payloads
-    (:func:`repro.observe.tracer.span_payload`): each worker becomes
-    its own process row, its span timestamps shifted onto the parent
-    timeline by the wall-clock offset between the two tracers' epochs,
-    so one coherent trace covers the whole multi-process service.
-    """
+def chrome_trace(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
+    """Chrome ``trace_event`` JSON for any set of span records — one
+    trace, or a whole store — with timestamps in microseconds from the
+    earliest record."""
+    ordered = sorted(records, key=lambda r: (r["start_ns"], -r["dur_ns"]))
     events: List[Dict[str, Any]] = []
-    events.append(
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": _PID,
-            "tid": _TID_COMPILE,
-            "args": {"name": "repro"},
-        }
-    )
-    for span in sorted(tracer.spans, key=lambda s: (s.start, -(s.dur or 0))):
+    if not ordered:
+        return {"traceEvents": events, "displayTimeUnit": "ms"}
+    base = ordered[0]["start_ns"]
+    tids: Dict[str, int] = {}
+    services: Dict[Any, str] = {}
+    threads: Dict[Any, str] = {}
+    for record in ordered:
+        pid = record["pid"]
+        tid = tids.setdefault(record["trace"], len(tids) + 1)
+        services.setdefault(pid, record["service"])
+        threads.setdefault((pid, tid), record["trace"])
         events.append(
             {
-                "name": span.name,
-                "cat": "pass",
+                "name": record["name"],
+                "cat": record["service"],
                 "ph": "X",
-                "ts": span.start / 1000.0,
-                "dur": (span.dur or 0) / 1000.0,
-                "pid": _PID,
-                "tid": _TID_COMPILE,
-                "args": _jsonable(span.args),
+                "ts": (record["start_ns"] - base) / 1000.0,
+                "dur": record["dur_ns"] / 1000.0,
+                "pid": pid,
+                "tid": tid,
+                "args": record["attrs"],
             }
         )
-    for event in tracer.events:
-        events.append(
-            {
-                "name": event.name,
-                "cat": "event",
-                "ph": "i",
-                "ts": event.ts / 1000.0,
-                "s": "t",
-                "pid": _PID,
-                "tid": _TID_COMPILE,
-                "args": _jsonable(event.args),
-            }
-        )
-    if profile is not None:
-        end_ts = max(
-            [((s.start + (s.dur or 0)) / 1000.0) for s in tracer.spans],
-            default=0.0,
-        )
-        for row in profile.as_rows():
-            events.append(
-                {
-                    "name": f"proc {row['label']}",
-                    "cat": "vm-profile",
-                    "ph": "i",
-                    "ts": end_ts,
-                    "s": "t",
-                    "pid": _PID,
-                    "tid": _TID_PROFILE,
-                    "args": row,
-                }
-            )
-    if workers:
-        parent_epoch = getattr(tracer, "wall_epoch_ns", None)
-        trace_id = getattr(tracer, "trace_id", None)
-        for n, payload in enumerate(workers, 1):
-            if trace_id and payload.get("trace_id") not in (None, trace_id):
-                continue  # a stale payload from some other trace
-            pid = payload.get("pid") or (_PID + n)
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": _TID_COMPILE,
-                    "args": {"name": f"repro worker (pid {pid})"},
-                }
-            )
-            # Clock offset: the worker's wall epoch minus the parent's,
-            # in microseconds (chrome ts units).
-            offset_us = 0.0
-            if parent_epoch is not None and payload.get("wall_epoch_ns") is not None:
-                offset_us = (payload["wall_epoch_ns"] - parent_epoch) / 1000.0
-            for span in payload.get("spans", ()):
-                events.append(
-                    {
-                        "name": span["name"],
-                        "cat": "pass",
-                        "ph": "X",
-                        "ts": offset_us + span["start"] / 1000.0,
-                        "dur": (span["dur"] or 0) / 1000.0,
-                        "pid": pid,
-                        "tid": _TID_COMPILE,
-                        "args": _jsonable(span.get("args", {})),
-                    }
-                )
-    out: Dict[str, Any] = {"traceEvents": events, "displayTimeUnit": "ms"}
-    other: Dict[str, Any] = {}
-    if counters is not None:
-        other["counters"] = counters.as_dict()
-    if getattr(tracer, "trace_id", None):
-        other["trace_id"] = tracer.trace_id
-    if other:
-        out["otherData"] = other
-    return out
+    rows = [
+        {"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+         "args": {"name": f"repro {service} (pid {pid})"}}
+        for pid, service in services.items()
+    ] + [
+        {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+         "args": {"name": f"trace {trace}"}}
+        for (pid, tid), trace in threads.items()
+    ]
+    return {
+        "traceEvents": rows + events,
+        "displayTimeUnit": "ms",
+        "otherData": {"traces": list(tids)},
+    }
 
 
 def metrics_dict(
+    records: Iterable[Dict[str, Any]] = (),
     counters=None,
-    tracer=None,
-    profile=None,
     value: Optional[str] = None,
     output: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """The flat metrics document: counters + per-pass data + profile."""
+    """The flat metrics document: counters, then per-pass seconds and
+    stats summed by span name, then the per-procedure profile rows."""
     doc: Dict[str, Any] = {}
     if value is not None:
         doc["value"] = value
@@ -148,80 +78,17 @@ def metrics_dict(
         doc["output"] = output
     if counters is not None:
         doc["counters"] = counters.as_dict()
-    if tracer is not None and tracer.enabled:
-        passes: Dict[str, Dict[str, Any]] = {}
-        for span in sorted(tracer.spans, key=lambda s: s.start):
-            entry = passes.setdefault(span.name, {"seconds": 0.0})
-            entry["seconds"] += span.dur_s
-            for key, val in span.args.items():
-                entry[key] = _jsonable(val)
+    passes: Dict[str, Dict[str, Any]] = {}
+    procedures: List[Dict[str, Any]] = []
+    for record in sorted(records, key=lambda r: (r["start_ns"], -r["dur_ns"])):
+        if record["name"].startswith(PROC_PREFIX):
+            procedures.append(record["attrs"])
+            continue
+        entry = passes.setdefault(record["name"], {"seconds": 0.0})
+        entry["seconds"] += record["dur_ns"] / 1e9
+        entry.update(record["attrs"])
+    if passes:
         doc["passes"] = passes
-        if tracer.events:
-            doc["events"] = [
-                {"name": e.name, "ts_us": e.ts / 1000.0, **_jsonable(e.args)}
-                for e in tracer.events
-            ]
-    if profile is not None:
-        doc["procedures"] = profile.as_rows()
+    if procedures:
+        doc["procedures"] = procedures
     return doc
-
-
-def text_profile(counters=None, tracer=None, profile=None, top: int = 20) -> str:
-    """Human-readable profile report."""
-    lines: List[str] = []
-    if tracer is not None and tracer.enabled and tracer.spans:
-        lines.append("compiler passes")
-        lines.append("-" * 52)
-        for span in sorted(tracer.spans, key=lambda s: s.start):
-            indent = "  " * span.depth
-            stats = " ".join(
-                f"{k}={v}" for k, v in span.args.items() if not k.endswith("_s")
-            )
-            lines.append(
-                f"  {indent}{span.name:<18s} {span.dur_s * 1e3:9.3f} ms"
-                + (f"  {stats}" if stats else "")
-            )
-        lines.append("")
-    if counters is not None:
-        c = counters.as_dict()
-        lines.append("counters")
-        lines.append("-" * 52)
-        for key in (
-            "instructions",
-            "cycles",
-            "stack_refs",
-            "saves",
-            "restores",
-            "calls",
-            "tail_calls",
-            "moves",
-        ):
-            lines.append(f"  {key:<14s} {c[key]:>14,}")
-        lines.append("")
-    if profile is not None:
-        total_cycles = sum(p.cycles for p in profile.profiles.values()) or 1
-        lines.append(f"hot procedures (top {top}, by attributed cycles)")
-        lines.append("-" * 78)
-        lines.append(
-            f"  {'procedure':<22s} {'cycles':>12s} {'%':>6s} {'instrs':>10s} "
-            f"{'refs':>8s} {'saves':>6s} {'rest.':>6s}"
-        )
-        for prof in profile.hot(top):
-            lines.append(
-                f"  {prof.label[:22]:<22s} {prof.cycles:>12,} "
-                f"{prof.cycles / total_cycles:>6.1%} {prof.instructions:>10,} "
-                f"{prof.total_stack_refs:>8,} {prof.saves:>6,} {prof.restores:>6,}"
-            )
-        lines.append("")
-    return "\n".join(lines)
-
-
-def _jsonable(value: Any) -> Any:
-    """Coerce span/event attribute payloads to JSON-able shapes."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return repr(value)

@@ -20,6 +20,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+#: Name prefix of the per-procedure span records (``"proc tak"``).
+PROC_PREFIX = "proc "
+
 # Scalar counter attributes attributed per procedure (besides cycles
 # and instructions, which the machine passes explicitly).
 _SCALARS = (
@@ -231,3 +234,12 @@ class VMProfiler:
 
     def as_rows(self) -> List[Dict[str, Any]]:
         return [p.as_dict() for p in self.hot()]
+
+    def record(self, tracer, span) -> None:
+        """Attach the table to *span* (the ``execute`` span) as
+        zero-duration child records, hottest first."""
+        for row in self.as_rows():
+            tracer.record(
+                PROC_PREFIX + row["label"], span.start_ns, 0,
+                parent=span.span_id, **row,
+            )

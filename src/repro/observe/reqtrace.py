@@ -1,12 +1,15 @@
 """``repro.observe.reqtrace`` — per-request distributed tracing.
 
 Every request entering the system (the serve daemon over TCP or stdio,
-``repro batch``, loadgen) gets a **trace ID** and a tree of spans
-covering its full lifecycle: intake/parse, admission, single-flight
-dedup, queue, the worker's per-pass compile spans (the PR 1
-:class:`~repro.observe.tracer.Tracer` runs inside the worker and its
-spans are re-parented under the request via the trace context shipped
-in the task tuple), cache-tier lookups, and the response write.
+``repro batch``, loadgen, and one ``repro run`` or ``repro bench``
+operation) gets a **trace ID** and a tree of span records covering its
+full lifecycle: intake/parse, admission, single-flight dedup, queue,
+the worker's per-pass compile spans, the VM run, and the response
+write.  A :class:`RequestTrace` is the one
+:class:`~repro.observe.tracer.Tracer` plus a root span; a pool worker
+records under the context the parent shipped with the task (its parent
+is the ``run`` span id allocated before submitting) and sends its
+records home unchanged.
 
 The design follows Dapper / OpenTelemetry practice, scaled down:
 
@@ -15,11 +18,10 @@ The design follows Dapper / OpenTelemetry practice, scaled down:
   A client (loadgen) that sends one owns the trace ID; the daemon's
   root request span becomes a child of the client span, and every
   response echoes the ``traceparent`` so the client can log it.
-* **Clock-offset correction** — spans carry *absolute wall-clock*
-  nanoseconds: each process anchors ``time.time_ns()`` against
-  ``time.perf_counter_ns()`` once and derives every timestamp from the
-  monotonic clock (the PR 5 trace-context machinery), so daemon and
-  worker spans nest correctly without a shared clock.
+* **One clock rule** — records carry *absolute wall-clock*
+  nanoseconds from each tracer's clock anchor; at :meth:`finish`,
+  :func:`normalize` expands every parent to cover its children, so
+  daemon and worker spans nest monotonically without a shared clock.
 * **Tail-based sampling** — the keep/drop decision happens at the
   *end* of the request, when its status and latency are known:
   error/overloaded/timeout traces are always kept, so are the
@@ -35,21 +37,12 @@ and are queried with ``repro spans list/show/slowest/export``.
 
 from __future__ import annotations
 
-import os
 import random
-import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.observe.recorder import set_active_trace
 from repro.observe.spanstore import SpanStore
-
-
-def new_trace_id() -> str:
-    return os.urandom(8).hex()
-
-
-def new_span_id() -> str:
-    return os.urandom(8).hex()
+from repro.observe.tracer import Tracer, new_span_id, new_trace_id
 
 
 def format_traceparent(trace_id: str, span_id: str) -> str:
@@ -126,220 +119,31 @@ class TailSampler:
         return False, "dropped"
 
 
-class _Span:
-    __slots__ = ("span_id", "name", "start_ns", "attrs", "parent")
-
-    def __init__(self, span_id: str, name: str, start_ns: int,
-                 attrs: Dict[str, Any], parent: Optional[str]) -> None:
-        self.span_id = span_id
-        self.name = name
-        self.start_ns = start_ns
-        self.attrs = attrs
-        self.parent = parent
-
-
-class _SpanHandle:
-    """Context manager returned by :meth:`RequestTrace.span`."""
-
-    def __init__(self, trace: "RequestTrace", span: _Span) -> None:
-        self._trace = trace
-        self._span = span
-
-    @property
-    def span_id(self) -> str:
-        return self._span.span_id
-
-    def set(self, **attrs: Any) -> None:
-        self._span.attrs.update(attrs)
-
-    def __enter__(self) -> "_SpanHandle":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._trace._pop(self._span)
-
-
-class RequestTrace:
-    """One request's span tree, buffered until :meth:`finish` lets the
-    tail sampler decide its fate."""
+class RequestTrace(Tracer):
+    """One request's trace: a :class:`Tracer` whose top-level spans hang
+    under a root span, buffered until :meth:`finish` closes the root,
+    normalizes the clocks, and lets the tail sampler decide its fate."""
 
     def __init__(
         self,
-        tracer: "ReqTracer",
+        reqtracer: "ReqTracer",
         trace_id: str,
         parent_span: Optional[str] = None,
         name: str = "request",
         attrs: Optional[Dict[str, Any]] = None,
     ) -> None:
-        self.tracer = tracer
-        self.trace_id = trace_id
-        self.wall_epoch_ns = time.time_ns()
-        self._epoch = time.perf_counter_ns()
-        self.records: List[Dict[str, Any]] = []
-        self._stack: List[_Span] = []
-        self.root = _Span(
-            new_span_id(), name, self.wall_epoch_ns, dict(attrs or {}),
-            parent_span,
-        )
+        super().__init__(trace_id, new_span_id(), reqtracer.service)
+        self.reqtracer = reqtracer
+        self.name = name
+        self.attrs = dict(attrs or {})
+        #: The client's span (from its ``traceparent``) the root hangs under.
+        self.client_span = parent_span
+        self.start_ns = self.now_ns()
         self.finished = False
         self.decision: Optional[str] = None
 
-    # -- clock ----------------------------------------------------------
-
-    def now_ns(self) -> int:
-        return self.wall_epoch_ns + (time.perf_counter_ns() - self._epoch)
-
-    # -- span API -------------------------------------------------------
-
-    @property
-    def current_span(self) -> str:
-        return self._stack[-1].span_id if self._stack else self.root.span_id
-
     def traceparent(self) -> str:
-        return format_traceparent(self.trace_id, self.root.span_id)
-
-    def span(self, name: str, **attrs: Any) -> _SpanHandle:
-        span = _Span(new_span_id(), name, self.now_ns(), dict(attrs),
-                     self.current_span)
-        self._stack.append(span)
-        return _SpanHandle(self, span)
-
-    def _pop(self, span: _Span) -> None:
-        if span in self._stack:
-            # Pop anything left dangling below it too (exception paths).
-            while self._stack:
-                top = self._stack.pop()
-                self._emit(top, self.now_ns())
-                if top is span:
-                    break
-
-    def _emit(self, span: _Span, end_ns: int) -> None:
-        self.record(
-            span.name,
-            span.start_ns,
-            max(0, end_ns - span.start_ns),
-            parent=span.parent,
-            span_id=span.span_id,
-            **span.attrs,
-        )
-
-    def record(
-        self,
-        name: str,
-        start_ns: int,
-        dur_ns: int,
-        parent: Optional[str] = None,
-        span_id: Optional[str] = None,
-        **attrs: Any,
-    ) -> str:
-        """Append one explicit span record (for intervals measured
-        elsewhere — intake timed before the trace existed, queue/run
-        times reported by the pool).  Returns the span id."""
-        sid = span_id or new_span_id()
-        self.records.append(
-            {
-                "trace": self.trace_id,
-                "span": sid,
-                "parent": self.root.span_id if parent is None else parent,
-                "name": name,
-                "start_ns": int(start_ns),
-                "dur_ns": int(dur_ns),
-                "pid": os.getpid(),
-                "service": self.tracer.service,
-                "attrs": attrs or {},
-            }
-        )
-        return sid
-
-    # -- cross-process --------------------------------------------------
-
-    def context(self, parent: Optional[str] = None) -> Dict[str, Any]:
-        """The plain-data trace context shipped to a worker — the same
-        shape :meth:`repro.observe.tracer.Tracer.context` produces, so
-        ``serve/work.py`` forwards it unchanged."""
-        return {
-            "trace_id": self.trace_id,
-            "parent_span": parent or self.current_span,
-            "wall_epoch_ns": self.wall_epoch_ns,
-            "pid": os.getpid(),
-        }
-
-    def absorb_payload(
-        self, payload: Optional[Dict[str, Any]], parent: Optional[str] = None
-    ) -> int:
-        """Convert a worker's :func:`~repro.observe.tracer.span_payload`
-        into absolute-time records under *parent*.
-
-        Worker spans carry monotonic offsets from the worker's own
-        anchor plus the worker's ``wall_epoch_ns`` — adding them yields
-        wall-clock nanoseconds comparable with daemon spans.  Parentage
-        inside the payload is reconstructed from span intervals (the
-        worker tracer names parents, it does not give them ids)."""
-        if not payload or payload.get("trace_id") not in (None, self.trace_id):
-            return 0
-        spans = payload.get("spans") or []
-        if not spans:
-            return 0
-        epoch = int(payload.get("wall_epoch_ns") or self.wall_epoch_ns)
-        pid = payload.get("pid")
-        base_parent = parent or self.current_span
-        ordered = sorted(
-            (dict(span) for span in spans),
-            key=lambda s: (s.get("start", 0), -s.get("dur", 0)),
-        )
-        open_stack: List[Tuple[int, str]] = []  # (end_ns, span_id)
-        count = 0
-        for span in ordered:
-            start = epoch + int(span.get("start", 0))
-            dur = int(span.get("dur", 0))
-            while open_stack and open_stack[-1][0] <= start:
-                open_stack.pop()
-            parent_id = open_stack[-1][1] if open_stack else base_parent
-            attrs = dict(span.get("args") or {})
-            sid = new_span_id()
-            self.records.append(
-                {
-                    "trace": self.trace_id,
-                    "span": sid,
-                    "parent": parent_id,
-                    "name": span.get("name", "?"),
-                    "start_ns": start,
-                    "dur_ns": dur,
-                    "pid": pid,
-                    "service": "worker",
-                    "attrs": attrs,
-                }
-            )
-            open_stack.append((start + dur, sid))
-            count += 1
-        return count
-
-    def _normalize(self) -> None:
-        """Expand every parent to cover its children.  Spans timed on
-        different clocks (a run window reconstructed from the pool's
-        ``run_s`` vs. worker spans on the worker's wall anchor) can
-        disagree by the result-queue latency; nesting must still be
-        monotonic for the tree to read truthfully."""
-        by_id = {r["span"]: r for r in self.records}
-        kids: Dict[str, List[Dict[str, Any]]] = {}
-        for record in self.records:
-            parent = record.get("parent")
-            if parent in by_id:
-                kids.setdefault(parent, []).append(record)
-
-        def walk(record: Dict[str, Any]) -> None:
-            end = record["start_ns"] + record["dur_ns"]
-            for kid in kids.get(record["span"], ()):
-                walk(kid)
-                record["start_ns"] = min(record["start_ns"], kid["start_ns"])
-                end = max(end, kid["start_ns"] + kid["dur_ns"])
-            record["dur_ns"] = end - record["start_ns"]
-
-        for record in self.records:
-            if record.get("parent") not in by_id:
-                walk(record)
-
-    # -- finish ---------------------------------------------------------
+        return format_traceparent(self.trace_id, self.parent)
 
     def finish(self, status: str = "ok", **attrs: Any) -> Tuple[bool, str]:
         """Close the root span, let the sampler decide, and (when kept)
@@ -347,33 +151,50 @@ class RequestTrace:
         if self.finished:
             return self.decision not in (None, "dropped"), self.decision or "dropped"
         self.finished = True
-        end_ns = self.now_ns()
         while self._stack:  # close anything left open (error paths)
-            self._emit(self._stack.pop(), end_ns)
-        root = self.root
-        root.attrs.update(attrs)
-        root.attrs["status"] = status
-        latency_s = (end_ns - root.start_ns) / 1e9
-        self.latency_s = latency_s
-        self.record(
-            root.name,
-            root.start_ns,
-            end_ns - root.start_ns,
-            parent=root.parent or "",
-            span_id=root.span_id,
-            **root.attrs,
+            self._close(self._stack[-1])
+        end_ns = self.now_ns()
+        self.attrs.update(attrs)
+        self.attrs["status"] = status
+        self.latency_s = (end_ns - self.start_ns) / 1e9
+        self._append(
+            self.parent, self.name, self.start_ns, end_ns - self.start_ns,
+            self.client_span, self.attrs,
         )
-        # The explicit-parent convention above uses "" to mean "root":
-        # record() would have substituted root.span_id for None.
-        self.records[-1]["parent"] = root.parent
-        self._normalize()
-        keep, reason = self.tracer.sampler.decide(status, latency_s)
+        normalize(self.records)
+        keep, reason = self.reqtracer.sampler.decide(status, self.latency_s)
         self.decision = reason
         if keep:
-            self.tracer.store.append_trace(self.records)
-        self.tracer._count_trace(reason)
+            self.reqtracer.store.append_trace(self.records)
+        self.reqtracer._count_trace(reason)
         set_active_trace(None)
         return keep, reason
+
+
+def normalize(records: List[Dict[str, Any]]) -> None:
+    """Expand every parent to cover its children — the one clock rule.
+    Records timed in different processes (a run window rebuilt from the
+    pool's ``run_s`` vs. the worker's own spans on its own clock anchor)
+    can disagree by the result-queue latency; nesting must still be
+    monotonic for the tree to read truthfully."""
+    by_id = {r["span"]: r for r in records}
+    kids: Dict[str, List[Dict[str, Any]]] = {}
+    for record in records:
+        parent = record.get("parent")
+        if parent in by_id:
+            kids.setdefault(parent, []).append(record)
+
+    def walk(record: Dict[str, Any]) -> None:
+        end = record["start_ns"] + record["dur_ns"]
+        for kid in kids.get(record["span"], ()):
+            walk(kid)
+            record["start_ns"] = min(record["start_ns"], kid["start_ns"])
+            end = max(end, kid["start_ns"] + kid["dur_ns"])
+        record["dur_ns"] = end - record["start_ns"]
+
+    for record in records:
+        if record.get("parent") not in by_id:
+            walk(record)
 
 
 class ReqTracer:

@@ -16,18 +16,11 @@ can trace forever without filling a disk.  Reads
 tolerate a torn or corrupt line (a crash mid-append, a truncated
 copy): bad lines are skipped, everything else is served.
 
-A span record is flat and self-describing, so segments from several
-processes (daemon + workers via the daemon) and several daemons can be
-read together::
-
-    {"trace": "9f…", "span": "03…", "parent": "01…"|null,
-     "name": "request", "start_ns": <wall ns>, "dur_ns": <ns>,
-     "pid": 1234, "service": "net", "attrs": {...}}
-
-``start_ns`` is *wall-clock* nanoseconds — each recording process
-anchors its monotonic clock to ``time.time_ns()`` once (the PR 5
-trace-context machinery), so spans from different processes order and
-nest correctly modulo host clock skew.
+Each line is one record of the one span shape
+(:mod:`repro.observe.tracer`), flat and self-describing, so segments
+from several processes (daemon + workers via the daemon) and several
+daemons can be read together; ``repro spans export`` turns any set of
+them into one Chrome timeline (:func:`repro.observe.export.chrome_trace`).
 """
 
 from __future__ import annotations
@@ -386,45 +379,3 @@ def critical_path_summary(
         for category, seconds in critical_path(records).items():
             out[category] = out.get(category, 0.0) + seconds
     return out
-
-
-# ---------------------------------------------------------------------------
-# Chrome export
-# ---------------------------------------------------------------------------
-
-
-def chrome_trace_from_records(records: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """One trace's records as Chrome ``trace_event`` JSON (each pid its
-    own process row, timestamps relative to the trace start)."""
-    if not records:
-        return {"traceEvents": [], "displayTimeUnit": "ms"}
-    base = min(r.get("start_ns", 0) for r in records)
-    events: List[Dict[str, Any]] = []
-    for pid in sorted({r.get("pid", 0) for r in records}):
-        events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 1,
-                "args": {"name": f"repro (pid {pid})"},
-            }
-        )
-    for record in sorted(records, key=lambda r: r.get("start_ns", 0)):
-        events.append(
-            {
-                "name": record.get("name", "?"),
-                "cat": record.get("service", "request"),
-                "ph": "X",
-                "ts": (record.get("start_ns", 0) - base) / 1000.0,
-                "dur": record.get("dur_ns", 0) / 1000.0,
-                "pid": record.get("pid", 0),
-                "tid": 1,
-                "args": record.get("attrs") or {},
-            }
-        )
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"trace_id": records[0].get("trace")},
-    }

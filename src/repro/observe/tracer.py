@@ -1,21 +1,28 @@
-"""The tracer: a low-overhead span/event recorder with a no-op default.
+"""The span model: one record shape and one recorder.
 
-Two implementations share the same duck type:
+Every span in the system — a compiler pass, the VM run, one
+per-procedure profile row, a daemon's queue wait, a worker's compile —
+is the same flat, self-describing record::
 
-* :class:`Tracer` records spans (``with tracer.span("expand"): ...``)
-  and events (``tracer.event("save", reg=..., proc=...)``) with
-  nanosecond timestamps.
-* :class:`NullTracer` — the module-level :data:`NULL_TRACER` singleton
-  is the default everywhere — short-circuits both methods.  ``span``
-  returns a shared, reusable null context manager and ``event``
-  returns immediately, so instrumented code pays (nearly) nothing when
-  tracing is off.  Hot loops (the VM dispatch path) go one step
-  further and branch on ``tracer.enabled`` / ``profiler is None`` so
-  they make **no** tracer calls at all.
+    {"trace": "9f…", "span": "03…", "parent": "01…"|None,
+     "name": "allocate", "start_ns": <wall ns>, "dur_ns": <ns>,
+     "pid": 1234, "service": "worker", "attrs": {...}}
 
-Code that wants to instrument should accept a ``tracer`` parameter
-defaulting to ``None`` and resolve it with :func:`tracer_for` or
-``tracer or NULL_TRACER``.
+``start_ns`` is wall-clock nanoseconds derived from the tracer's one
+clock anchor: ``time.time_ns()`` read once against the monotonic clock,
+every later timestamp taken monotonically.  Records from different
+processes therefore order and nest on one timeline, up to the small
+disagreements that :func:`repro.observe.reqtrace.normalize` removes.
+
+* :class:`Tracer` records them (``with tracer.span("expand"): ...``,
+  or :meth:`Tracer.record` for an interval timed elsewhere).  A worker
+  process builds its tracer from the context the parent shipped
+  (:meth:`Tracer.from_context`), so its records carry the parent's
+  trace id and hang under the parent's span, and go home unchanged.
+* :class:`NullTracer` — the module-level :data:`NULL_TRACER` is the
+  default everywhere — returns one shared no-op span, so instrumented
+  code pays (nearly) nothing when tracing is off.  Code that computes
+  span attributes guards the work on ``tracer.enabled``.
 """
 
 from __future__ import annotations
@@ -24,16 +31,19 @@ import os
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.observe.events import Event, Span
-
 
 class TraceError(Exception):
-    """Raised on malformed span nesting (exiting a span that is not
+    """Raised on malformed span nesting (closing a span that is not
     the innermost open one)."""
 
 
 def new_trace_id() -> str:
     """A 16-hex-digit trace id (random, per top-level operation)."""
+    return os.urandom(8).hex()
+
+
+def new_span_id() -> str:
+    """A 16-hex-digit span id."""
     return os.urandom(8).hex()
 
 
@@ -49,12 +59,8 @@ class _NullSpan:
     def __exit__(self, exc_type, exc, tb) -> bool:
         return False
 
-    def set(self, **args: Any) -> "_NullSpan":
+    def set(self, **attrs: Any) -> "_NullSpan":
         return self
-
-    @property
-    def dur_s(self) -> float:
-        return 0.0
 
 
 _NULL_SPAN = _NullSpan()
@@ -66,144 +72,149 @@ class NullTracer:
     __slots__ = ()
 
     enabled = False
+    records = ()
 
-    def span(self, name: str, **args: Any) -> _NullSpan:
+    def span(self, name: str, **attrs: Any) -> _NullSpan:
         return _NULL_SPAN
-
-    def event(self, name: str, **args: Any) -> None:
-        return None
-
-    @property
-    def spans(self) -> tuple:
-        return ()
-
-    @property
-    def events(self) -> tuple:
-        return ()
 
 
 NULL_TRACER = NullTracer()
 
 
-class Tracer:
-    """Records spans and events.
+class _Span:
+    """An open span; closing it appends its record.  The record shares
+    the span's ``attrs`` dict, so :meth:`set` after the ``with`` block
+    still lands (stats computed outside the timed interval)."""
 
-    ``clock`` is injectable (a callable returning nanoseconds) so tests
-    can be deterministic; it defaults to :func:`time.perf_counter_ns`.
-    Finished spans are appended to :attr:`spans` in completion order;
-    use :attr:`Span.start` to sort chronologically.
+    __slots__ = ("_tracer", "span_id", "name", "start_ns", "parent", "attrs")
+
+    def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, Any]) -> None:
+        self._tracer = tracer
+        self.span_id = new_span_id()
+        self.name = name
+        self.parent = tracer.current
+        self.attrs = attrs
+        self.start_ns = tracer.now_ns()
+
+    def set(self, **attrs: Any) -> "_Span":
+        """Attach (or overwrite) attributes on this span."""
+        self.attrs.update(attrs)
+        return self
+
+    def __enter__(self) -> "_Span":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self._tracer._close(self)
+        return False
+
+
+class Tracer:
+    """Records span records into :attr:`records` (completion order;
+    sort on ``start_ns`` for a timeline).
+
+    *parent* is the span id that top-level spans hang under (a shipped
+    context's span, or a request trace's root); *clock* is injectable
+    (nanoseconds, monotonic) so tests can be deterministic.
     """
 
     enabled = True
 
     def __init__(
         self,
-        clock: Callable[[], int] = time.perf_counter_ns,
         trace_id: Optional[str] = None,
+        parent: Optional[str] = None,
+        service: str = "repro",
+        clock: Callable[[], int] = time.perf_counter_ns,
     ) -> None:
-        self._clock = clock
-        self.epoch = clock()
-        # Wall-clock anchor for cross-process merging: a child process'
-        # span timestamps are shifted onto the parent timeline by the
-        # difference of the two tracers' wall epochs (the clock offset
-        # of the propagated trace context).
-        self.wall_epoch_ns = time.time_ns()
         self.trace_id = trace_id or new_trace_id()
-        self.spans: List[Span] = []
-        self.events: List[Event] = []
-        self._stack: List[Span] = []
+        self.parent = parent
+        self.service = service
+        self._clock = clock
+        self._wall = time.time_ns()
+        self._mono = clock()
+        self.records: List[Dict[str, Any]] = []
+        self._stack: List[_Span] = []
 
-    def now(self) -> int:
-        """Nanoseconds since this tracer was created."""
-        return self._clock() - self.epoch
+    @classmethod
+    def from_context(cls, context: Dict[str, Any], service: str = "worker") -> "Tracer":
+        """The tracer a worker records under: the shipped trace id, with
+        the parent's span (see :meth:`context`) as the parent of every
+        top-level span."""
+        return cls(context["trace_id"], context.get("parent"), service)
+
+    def now_ns(self) -> int:
+        """Wall-clock nanoseconds, from this tracer's clock anchor."""
+        return self._wall + (self._clock() - self._mono)
+
+    @property
+    def current(self) -> Optional[str]:
+        """The innermost open span's id (else :attr:`parent`)."""
+        return self._stack[-1].span_id if self._stack else self.parent
+
+    def context(self, parent: Optional[str] = None) -> Dict[str, Any]:
+        """The plain-data trace context shipped to a worker: the trace
+        id and the span the worker's records hang under."""
+        return {"trace_id": self.trace_id, "parent": parent or self.current}
 
     # -- recording ------------------------------------------------------
 
-    def span(self, name: str, **args: Any) -> Span:
-        return Span(self, name, args)
-
-    def event(self, name: str, **args: Any) -> None:
-        self.events.append(Event(name, self.now(), args))
-
-    def _enter(self, span: Span) -> None:
-        span.start = self.now()
-        span.depth = len(self._stack)
-        span.parent = self._stack[-1].name if self._stack else None
+    def span(self, name: str, **attrs: Any) -> _Span:
+        span = _Span(self, name, attrs)
         self._stack.append(span)
+        return span
 
-    def _exit(self, span: Span) -> None:
+    def _close(self, span: _Span) -> None:
         if not self._stack or self._stack[-1] is not span:
             raise TraceError(
                 f"span {span.name!r} closed out of order "
                 f"(open: {[s.name for s in self._stack]})"
             )
         self._stack.pop()
-        span.dur = self.now() - span.start
-        self.spans.append(span)
+        self._append(
+            span.span_id, span.name, span.start_ns,
+            self.now_ns() - span.start_ns, span.parent, span.attrs,
+        )
 
-    # -- queries --------------------------------------------------------
+    def record(
+        self,
+        name: str,
+        start_ns: int,
+        dur_ns: int,
+        /,
+        parent: Optional[str] = None,
+        span_id: Optional[str] = None,
+        **attrs: Any,
+    ) -> str:
+        """Append one record for an interval measured elsewhere (intake
+        timed before the trace existed, queue/run times reported by the
+        pool); *parent* defaults to :attr:`current`.  Returns its id."""
+        sid = span_id or new_span_id()
+        self._append(
+            sid, name, start_ns, dur_ns,
+            self.current if parent is None else parent, attrs,
+        )
+        return sid
 
-    @property
-    def open_spans(self) -> List[str]:
-        return [s.name for s in self._stack]
-
-    def spans_named(self, name: str) -> List[Span]:
-        return [s for s in self.spans if s.name == name]
-
-    def pass_timings(self) -> Dict[str, float]:
-        """Total seconds per span name (aggregated across repeats)."""
-        out: Dict[str, float] = {}
-        for s in self.spans:
-            out[s.name] = out.get(s.name, 0.0) + s.dur_s
-        return out
-
-    # -- cross-process propagation --------------------------------------
-
-    def context(self, parent_span: Optional[str] = None) -> Dict[str, Any]:
-        """The trace context propagated to child processes: trace id,
-        the parent span the child's work hangs under, and this tracer's
-        wall-clock epoch (so the child can be merged with an exact
-        clock offset)."""
-        return {
-            "trace_id": self.trace_id,
-            "parent_span": parent_span
-            or (self._stack[-1].name if self._stack else None),
-            "wall_epoch_ns": self.wall_epoch_ns,
-            "pid": os.getpid(),
-        }
-
-    def export_spans(self) -> List[Dict[str, Any]]:
-        """Finished spans as plain picklable data, for shipping across
-        a process boundary (see :func:`span_payload`)."""
-        return [
+    def _append(
+        self,
+        span_id: str,
+        name: str,
+        start_ns: int,
+        dur_ns: int,
+        parent: Optional[str],
+        attrs: Dict[str, Any],
+    ) -> None:
+        self.records.append(
             {
-                "name": s.name,
-                "start": s.start,
-                "dur": s.dur or 0,
-                "depth": s.depth,
-                "parent": s.parent,
-                "args": dict(s.args),
+                "trace": self.trace_id,
+                "span": span_id,
+                "parent": parent,
+                "name": name,
+                "start_ns": int(start_ns),
+                "dur_ns": max(0, int(dur_ns)),
+                "pid": os.getpid(),
+                "service": self.service,
+                "attrs": attrs,
             }
-            for s in self.spans
-        ]
-
-
-def span_payload(tracer: "Tracer", context: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    """Everything a worker ships so its spans merge into the parent's
-    timeline: the spans, the worker's own wall epoch (for the clock
-    offset), its pid, and the trace context it inherited."""
-    return {
-        "pid": os.getpid(),
-        "wall_epoch_ns": tracer.wall_epoch_ns,
-        "trace_id": (context or {}).get("trace_id", tracer.trace_id),
-        "parent_span": (context or {}).get("parent_span"),
-        "spans": tracer.export_spans(),
-    }
-
-
-def tracer_for(config) -> "Tracer | NullTracer":
-    """The tracer implied by a :class:`CompilerConfig`: a recording
-    tracer when its ``trace`` knob is anything but ``"off"``."""
-    if getattr(config, "trace", "off") != "off":
-        return Tracer()
-    return NULL_TRACER
+        )

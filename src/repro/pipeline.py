@@ -10,7 +10,6 @@ library would be in a whole-program compiler.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, Optional
 
 from repro.astnodes import Expr, Program, copy_expr, count_nodes
@@ -21,7 +20,7 @@ from repro.frontend.analyze import check_scopes, mark_tail_calls
 from repro.frontend.assignconvert import assignment_convert
 from repro.frontend.closure import closure_convert
 from repro.frontend.expand import expand_program
-from repro.observe import NULL_TRACER, REGISTRY, VMProfiler, tracer_for
+from repro.observe import NULL_TRACER, REGISTRY, VMProfiler
 from repro.observe.catalog import declare
 from repro.sexp.reader import read_all
 from repro.vm.machine import Machine
@@ -57,28 +56,6 @@ PRELUDE = """
 """
 
 
-class CompileTimes:
-    """Wall-clock time per phase, for the §4 compile-time experiment."""
-
-    def __init__(self) -> None:
-        self.phases: Dict[str, float] = {}
-
-    def record(self, name: str, seconds: float) -> None:
-        self.phases[name] = self.phases.get(name, 0.0) + seconds
-
-    @property
-    def total(self) -> float:
-        return sum(self.phases.values())
-
-    def register_allocation_fraction(self) -> float:
-        """The fraction of compile time spent in the allocator —
-        the paper reports ~7% for Chez."""
-        ra = (
-            self.phases.get("allocate", 0.0)
-        )
-        return ra / self.total if self.total else 0.0
-
-
 class ExecutionResult:
     """Everything a benchmark wants to know about one run."""
 
@@ -110,91 +87,33 @@ def compile_source(
     source: str,
     config: Optional[CompilerConfig] = None,
     prelude: bool = True,
-    times: Optional[CompileTimes] = None,
     tracer=None,
 ) -> CompiledProgram:
     """Compile *source* under *config* (default: the paper's
     configuration).
 
     *tracer* (a :class:`repro.observe.Tracer`) records one span per
-    pass, each carrying per-pass stats; when omitted it is derived from
-    ``config.trace`` (the default ``"off"`` resolves to the zero-cost
-    null tracer).
+    pass, each carrying per-pass stats, under one ``compile`` span;
+    the default null tracer records nothing and costs nothing.
     """
     config = config or CompilerConfig()
-    tracer = tracer if tracer is not None else tracer_for(config)
-    t = times or CompileTimes()
-
+    tracer = tracer or NULL_TRACER
     with tracer.span("compile", source_chars=len(source)):
-        t0 = time.perf_counter()
         with tracer.span("read") as sp:
             text = (PRELUDE + "\n" + source) if prelude else source
             forms = read_all(text)
-        t.record("read", time.perf_counter() - t0)
         if tracer.enabled:
             sp.set(forms=len(forms))
-
-        t0 = time.perf_counter()
         with tracer.span("expand") as sp:
             expr = expand_program(forms)
-        t.record("expand", time.perf_counter() - t0)
         if tracer.enabled:
             sp.set(nodes=count_nodes(expr))
-
-        t0 = time.perf_counter()
-        with tracer.span("convert") as sp:
-            expr = assignment_convert(expr)
-            mark_tail_calls(expr)
-            check_scopes(expr)
-        t.record("convert", time.perf_counter() - t0)
-        if tracer.enabled:
-            sp.set(nodes=count_nodes(expr))
-
-        if config.lambda_lift:
-            from repro.frontend.lambdalift import lambda_lift
-
-            t0 = time.perf_counter()
-            with tracer.span("lambda-lift") as sp:
-                expr, lift_report = lambda_lift(
-                    expr, max_params=config.lambda_lift_max_params
-                )
-                check_scopes(expr)
-            t.record("lambda-lift", time.perf_counter() - t0)
-            if tracer.enabled:
-                sp.set(lifted=len(lift_report.lifted))
-
-        t0 = time.perf_counter()
-        with tracer.span("closure") as sp:
-            program = closure_convert(expr)
-        t.record("closure", time.perf_counter() - t0)
-        if tracer.enabled:
-            sp.set(procedures=len(program.codes))
-
-        t0 = time.perf_counter()
-        with tracer.span("allocate") as sp:
-            allocation = allocate_program(program, config)
-        t.record("allocate", time.perf_counter() - t0)
-        if tracer.enabled:
-            sp.set(**_allocation_stats(program, allocation))
-        if REGISTRY.enabled:
-            _observe_shuffles(program)
-
-        t0 = time.perf_counter()
-        with tracer.span("codegen") as sp:
-            compiled = generate_program(program, allocation, config)
-        t.record("codegen", time.perf_counter() - t0)
-        if tracer.enabled:
-            sp.set(
-                instructions=compiled.total_instructions(),
-                peephole_removed=compiled.peephole_removed,
-            )
-    return compiled
+        return _lower(expr, config, tracer)
 
 
 def compile_core(
     expr: Expr,
     config: Optional[CompilerConfig] = None,
-    times: Optional[CompileTimes] = None,
     tracer=None,
     copy: bool = True,
 ) -> CompiledProgram:
@@ -212,59 +131,55 @@ def compile_core(
     allocation, and code generation all run here.
     """
     config = config or CompilerConfig()
-    tracer = tracer if tracer is not None else tracer_for(config)
-    t = times or CompileTimes()
+    tracer = tracer or NULL_TRACER
     if copy:
         expr = copy_expr(expr)
-
     with tracer.span("compile-core", nodes=count_nodes(expr)):
-        t0 = time.perf_counter()
-        with tracer.span("convert") as sp:
-            expr = assignment_convert(expr)
-            mark_tail_calls(expr)
-            check_scopes(expr)
-        t.record("convert", time.perf_counter() - t0)
-        if tracer.enabled:
-            sp.set(nodes=count_nodes(expr))
+        return _lower(expr, config, tracer)
 
-        if config.lambda_lift:
-            from repro.frontend.lambdalift import lambda_lift
 
-            t0 = time.perf_counter()
-            with tracer.span("lambda-lift") as sp:
-                expr, lift_report = lambda_lift(
-                    expr, max_params=config.lambda_lift_max_params
-                )
-                check_scopes(expr)
-            t.record("lambda-lift", time.perf_counter() - t0)
-            if tracer.enabled:
-                sp.set(lifted=len(lift_report.lifted))
+def _lower(expr: Expr, config: CompilerConfig, tracer) -> CompiledProgram:
+    """The passes :func:`compile_source` and :func:`compile_core` share:
+    conversion, (optional) lambda lifting, closure conversion,
+    allocation, and code generation, one span each.  The pass entry
+    points are this module's globals, looked up at call time."""
+    with tracer.span("convert") as sp:
+        expr = assignment_convert(expr)
+        mark_tail_calls(expr)
+        check_scopes(expr)
+    if tracer.enabled:
+        sp.set(nodes=count_nodes(expr))
 
-        t0 = time.perf_counter()
-        with tracer.span("closure") as sp:
-            program = closure_convert(expr)
-        t.record("closure", time.perf_counter() - t0)
-        if tracer.enabled:
-            sp.set(procedures=len(program.codes))
+    if config.lambda_lift:
+        from repro.frontend.lambdalift import lambda_lift
 
-        t0 = time.perf_counter()
-        with tracer.span("allocate") as sp:
-            allocation = allocate_program(program, config)
-        t.record("allocate", time.perf_counter() - t0)
-        if tracer.enabled:
-            sp.set(**_allocation_stats(program, allocation))
-        if REGISTRY.enabled:
-            _observe_shuffles(program)
-
-        t0 = time.perf_counter()
-        with tracer.span("codegen") as sp:
-            compiled = generate_program(program, allocation, config)
-        t.record("codegen", time.perf_counter() - t0)
-        if tracer.enabled:
-            sp.set(
-                instructions=compiled.total_instructions(),
-                peephole_removed=compiled.peephole_removed,
+        with tracer.span("lambda-lift") as sp:
+            expr, lift_report = lambda_lift(
+                expr, max_params=config.lambda_lift_max_params
             )
+            check_scopes(expr)
+        if tracer.enabled:
+            sp.set(lifted=len(lift_report.lifted))
+
+    with tracer.span("closure") as sp:
+        program = closure_convert(expr)
+    if tracer.enabled:
+        sp.set(procedures=len(program.codes))
+
+    with tracer.span("allocate") as sp:
+        allocation = allocate_program(program, config)
+    if tracer.enabled:
+        sp.set(**_allocation_stats(program, allocation))
+    if REGISTRY.enabled:
+        _observe_shuffles(program)
+
+    with tracer.span("codegen") as sp:
+        compiled = generate_program(program, allocation, config)
+    if tracer.enabled:
+        sp.set(
+            instructions=compiled.total_instructions(),
+            peephole_removed=compiled.peephole_removed,
+        )
     return compiled
 
 
@@ -325,10 +240,11 @@ def run_compiled(
     With ``profile=True`` the machine carries a
     :class:`repro.observe.VMProfiler` whose per-procedure table lands
     on ``ExecutionResult.profile``; *tracer* (if recording) wraps the
-    run in an ``execute`` span.  *vm_fast* overrides the config's loop
-    selection (``True`` = pre-decoded fast loop, ``False`` = legacy
-    loop); differential tests use it to run one compiled program under
-    both dispatch loops.
+    run in an ``execute`` span carrying the instruction and cycle
+    counts, with the profile rows as its zero-duration children.
+    *vm_fast* overrides the config's loop selection (``True`` =
+    pre-decoded fast loop, ``False`` = legacy loop); differential tests
+    use it to run one compiled program under both dispatch loops.
     """
     tracer = tracer or NULL_TRACER
     profiler = VMProfiler() if profile else None
@@ -344,6 +260,8 @@ def run_compiled(
     if tracer.enabled:
         c = machine.counters
         sp.set(instructions=c.instructions, cycles=c.cycles)
+        if profiler is not None:
+            profiler.record(tracer, sp)
     if REGISTRY.enabled:
         machine.observe_metrics(REGISTRY)
     return ExecutionResult(value, machine, compiled)
@@ -359,9 +277,6 @@ def run_source(
     profile: bool = False,
 ) -> ExecutionResult:
     """Compile and execute *source*; the one-call public entry point."""
-    config = config or CompilerConfig()
-    tracer = tracer if tracer is not None else tracer_for(config)
-    profile = profile or config.trace in ("vm", "all")
     compiled = compile_source(source, config, prelude=prelude, tracer=tracer)
     return run_compiled(
         compiled,

@@ -393,14 +393,12 @@ class CompileCache:
         config: Optional[CompilerConfig] = None,
         prelude: bool = True,
         tracer=None,
-        times=None,
     ) -> Tuple[CompiledProgram, bool]:
         """Compile *source* under *config*, through the cache.
 
         Returns ``(compiled, hit)``.  On a hit the compiler never runs,
-        so per-pass tracer spans and ``times`` are only recorded on a
-        miss (callers that want compile observability should bypass the
-        cache).
+        so per-pass tracer spans are only recorded on a miss (callers
+        that want compile observability should bypass the cache).
 
         Tier order: memory LRU, then the executable-artifact tier
         (when enabled for this config — skips predecode/blockcompile
@@ -436,7 +434,7 @@ class CompileCache:
             return cached, True
         started = time.perf_counter()
         compiled = compile_source(
-            source, config, prelude=prelude, tracer=tracer, times=times
+            source, config, prelude=prelude, tracer=tracer
         )
         if self.registry.enabled:
             declare(self.registry, "repro_compile_seconds").observe(

@@ -79,6 +79,7 @@ from repro.config import CompilerConfig, ServeConfig
 from repro.observe.catalog import declare
 from repro.observe.metrics import get_registry, render_openmetrics
 from repro.observe.recorder import get_flight_recorder
+from repro.observe.tracer import new_span_id
 from repro.serve.cache import cache_key
 from repro.serve.net.admission import (
     REASON_DRAINING,
@@ -87,7 +88,12 @@ from repro.serve.net.admission import (
 )
 from repro.serve.net.singleflight import FlightTable
 from repro.serve.pool import TaskResult, WorkerPool
-from repro.serve.service import Request, Response, response_from_task
+from repro.serve.service import (
+    Request,
+    Response,
+    record_pool_run,
+    response_from_task,
+)
 
 PROTOCOL_VERSION = 1
 
@@ -673,12 +679,13 @@ class NetServer:
         dedup_ns = trace.now_ns() if trace is not None else 0
         key = self._flight_key(request) or f"#{self.requests}"
         leader, shared = self.flights.join(key)
+        # Only the leader reaches the pool, so the worker's compile
+        # spans belong to the leader's trace, under this run span.
+        run_id = new_span_id() if leader and trace is not None else None
         if leader:
-            # Only the leader reaches the pool, so the worker's compile
-            # spans belong to the leader's trace.
             self.bridge.submit(
                 shared, request.op, request.payload(), request.timeout,
-                trace=trace.context() if trace is not None else None,
+                trace=trace.context(run_id) if run_id else None,
             )
         else:
             if self.registry.enabled:
@@ -694,7 +701,8 @@ class NetServer:
         waiting = asyncio.shield(shared)
         task = asyncio.ensure_future(
             self._respond(
-                conn, request, key, shared, waiting, not leader, started, trace
+                conn, request, key, shared, waiting, not leader, started,
+                trace, run_id,
             )
         )
         self._outstanding.add(task)
@@ -721,6 +729,7 @@ class NetServer:
         deduped: bool,
         started: float,
         trace=None,
+        run_id: Optional[str] = None,
     ) -> None:
         wait_ns = trace.now_ns() if trace is not None else 0
         try:
@@ -743,22 +752,7 @@ class NetServer:
                 role="follower" if deduped else "leader",
             )
             if not deduped:
-                # The pool's latency split, re-timed onto the wall
-                # clock: queue ends where the worker run began.
-                queued_ns = int(result.queued_s * 1e9)
-                run_ns = int(result.run_s * 1e9)
-                run_start = trace.now_ns() - run_ns
-                trace.record(
-                    "queue", run_start - queued_ns, queued_ns,
-                    parent=wait_id,
-                )
-                run_id = trace.record(
-                    "run", run_start, run_ns, parent=wait_id,
-                )
-                if result.meta:
-                    trace.absorb_payload(
-                        result.meta.get("spans"), parent=run_id
-                    )
+                record_pool_run(trace, run_id, result, parent=wait_id)
         response = response_from_task(request, 0, result)
         doc = response.as_dict()
         if deduped:

@@ -49,7 +49,8 @@ class TaskResult:
     ``error`` message.  ``queued_s``/``run_s`` are the scheduler-side
     latency split (time waiting for a worker vs. time executing).
     ``meta`` is the worker's telemetry shipment (registry delta and/or
-    span payload); the pool absorbs it before handing the result out.
+    span records); the pool merges the delta before handing the result
+    out, and the submitter adopts the records into its trace.
     """
 
     task_id: int
@@ -69,9 +70,8 @@ class _Task:
     kind: str
     payload: Any
     timeout: Optional[float]
-    #: Per-task request-trace context (``RequestTrace.context()``); the
-    #: worker re-parents its compile spans under it.  ``None`` falls
-    #: back to the pool-static ``init["trace"]``.
+    #: Per-task trace context (``Tracer.context()``); the worker records
+    #: its spans under it.  ``None``: the task is untraced.
     trace: Optional[Dict[str, Any]] = None
     submitted_at: float = field(default_factory=time.monotonic)
 
@@ -136,7 +136,6 @@ class WorkerPool:
         disk_cache: bool = True,
         artifacts: bool = True,
         mp_context: Optional[str] = None,
-        trace: Optional[Dict[str, Any]] = None,
         registry=None,
         recorder=None,
         flight_dir: Optional[str] = None,
@@ -148,15 +147,11 @@ class WorkerPool:
             "cache_dir": cache_dir,
             "disk_cache": disk_cache,
             "artifacts": artifacts,
-            "trace": trace,
         }
         self.registry = registry if registry is not None else get_registry()
         self.recorder = recorder if recorder is not None else get_flight_recorder()
         self.flight_dir = flight_dir
         self.flight_dumps: List[str] = []
-        #: Worker span payloads absorbed from task meta, in completion
-        #: order — feed these to ``chrome_trace(..., workers=...)``.
-        self.worker_spans: List[Dict[str, Any]] = []
         self._results = self._ctx.Queue()
         self._workers: Dict[int, _Worker] = {}
         self._next_worker_id = 0
@@ -193,9 +188,9 @@ class WorkerPool:
         trace: Optional[Dict[str, Any]] = None,
     ) -> int:
         """Queue one task; returns its id.  Tasks start as workers free
-        up, in submission order.  *trace* is an optional per-request
-        trace context shipped with the task so the worker's compile
-        spans join the request's trace."""
+        up, in submission order.  *trace* is an optional trace context
+        (``Tracer.context()``) shipped with the task: the worker records
+        its spans under it and returns them in ``TaskResult.meta``."""
         task = _Task(self._next_task_id, kind, payload, timeout, trace)
         self._next_task_id += 1
         self._pending.append(task)
@@ -417,9 +412,6 @@ class WorkerPool:
             delta = meta.get("metrics")
             if delta and self.registry.enabled:
                 self.registry.merge_snapshot(delta)
-            spans = meta.get("spans")
-            if spans:
-                self.worker_spans.append(spans)
         return [
             self._finish(
                 TaskResult(

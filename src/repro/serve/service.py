@@ -11,10 +11,10 @@ with the JSON-lines protocols (``repro batch`` request files and the
 ``repro serve`` daemon; see :mod:`repro.serve.net.server` and
 ``docs/serving.md``).
 
-Observability: when given a recording tracer the service wraps the
-whole batch in a ``batch`` span, emits one ``request`` event per
-completed request (id, op, ok, cached, queued/run seconds — events, not
-spans, because requests complete concurrently and out of order), and
+Observability: given a request tracer (``reqtracer``), every request
+gets its own trace in the span store, exactly like a daemon request —
+``request`` > ``run`` > the compile passes and ``execute``, recorded
+in process (``jobs=1``) or by the worker under the shipped context;
 :meth:`BatchService.stats` exposes the cache hit/miss/evict counters
 and the pool's queue-depth and latency metrics.
 """
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.config import CompilerConfig
-from repro.observe import NULL_TRACER
+from repro.observe import NULL_TRACER, new_span_id
 from repro.observe.catalog import declare
 from repro.observe.metrics import get_registry
 from repro.observe.recorder import get_flight_recorder
@@ -153,6 +153,19 @@ def response_from_task(request: Request, index: int, result: TaskResult) -> Resp
     return response
 
 
+def record_pool_run(trace, run_id: str, result: TaskResult, parent=None) -> None:
+    """Record the pool's queue/run split for a task submitted under
+    ``trace.context(run_id)``, re-timed onto the wall clock (queue ends
+    where the worker run began), and adopt the worker's records."""
+    queued_ns = int(result.queued_s * 1e9)
+    run_ns = int(result.run_s * 1e9)
+    run_start = trace.now_ns() - run_ns
+    trace.record("queue", run_start - queued_ns, queued_ns, parent=parent)
+    trace.record("run", run_start, run_ns, parent=parent, span_id=run_id)
+    if result.meta and result.meta.get("spans"):
+        trace.records.extend(result.meta["spans"])
+
+
 class BatchService:
     """Execute request batches against the cache and (optionally) the
     worker pool."""
@@ -164,14 +177,12 @@ class BatchService:
         cache_dir: Optional[str] = None,
         disk_cache: bool = True,
         artifacts: bool = True,
-        tracer=None,
         registry=None,
         recorder=None,
         flight_dir: Optional[str] = None,
         reqtracer=None,
     ) -> None:
         self.jobs = max(1, jobs)
-        self.tracer = tracer or NULL_TRACER
         #: Per-request tracer (repro.observe.reqtrace.ReqTracer) — when
         #: set, every batch request gets its own trace in the span
         #: store, exactly like a daemon request.
@@ -183,8 +194,6 @@ class BatchService:
         self.registry.enable()
         self.recorder = recorder if recorder is not None else get_flight_recorder()
         self.flight_dir = flight_dir
-        #: Worker span payloads from pooled batches (chrome_trace input).
-        self.worker_spans: List[Dict[str, Any]] = []
         #: Flight-recorder dump paths written during pooled batches.
         self.flight_dumps: List[str] = []
         self._cache_enabled = cache
@@ -216,29 +225,32 @@ class BatchService:
     ) -> List[Response]:
         """Execute a batch; responses are returned in request order.
         ``on_response`` fires in *completion* order as results arrive."""
-        with self.tracer.span("batch", requests=len(requests), jobs=self.jobs):
-            if self.jobs <= 1:
-                return self._run_inline(requests, on_response)
-            return self._run_pool(requests, on_response)
+        if self.jobs <= 1:
+            return self._run_inline(requests, on_response)
+        return self._run_pool(requests, on_response)
+
+    def _start_trace(self, request: Request):
+        if self.reqtracer is None:
+            return None
+        return self.reqtracer.start(op=request.op, id=request.id)
+
+    @staticmethod
+    def _finish_trace(trace, response: Response) -> None:
+        if trace is not None:
+            status = "ok" if response.ok else (response.error_kind or "error")
+            trace.finish(status, cached=response.cached)
 
     def _run_inline(self, requests, on_response) -> List[Response]:
         state = {"cache": self.cache} if self.cache is not None else {}
         responses = []
         for index, request in enumerate(requests):
-            trace = None
-            if self.reqtracer is not None:
-                trace = self.reqtracer.start(op=request.op, id=request.id)
-            if trace is not None:
-                # An in-process tracer captures the compile passes; its
-                # spans are absorbed under the request trace below.
-                from repro.observe.tracer import Tracer, span_payload
-
-                pass_tracer = Tracer(trace_id=trace.trace_id)
-                state["tracer"] = pass_tracer
+            trace = self._start_trace(request)
+            # The handler compiles (and runs) under the request's trace.
+            state["tracer"] = trace
             started = time.perf_counter()
             try:
-                fn = work.HANDLERS[request.op]
-                value = fn(request.payload(), state)
+                with (trace or NULL_TRACER).span("run"):
+                    value = work.HANDLERS[request.op](request.payload(), state)
                 response = _ok_response(request, index, value)
             except Exception as exc:  # noqa: BLE001 - classified below
                 response = _error_response(
@@ -247,24 +259,14 @@ class BatchService:
                 )
             response.run_s = time.perf_counter() - started
             self._record(response)
-            if trace is not None:
-                state.pop("tracer", None)
-                if pass_tracer.spans:
-                    trace.absorb_payload(
-                        span_payload(pass_tracer, trace.context())
-                    )
-                status = (
-                    "ok" if response.ok else (response.error_kind or "error")
-                )
-                trace.finish(status, cached=response.cached)
+            self._finish_trace(trace, response)
             if on_response is not None:
                 on_response(response)
             responses.append(response)
         return responses
 
     def _run_pool(self, requests, on_response) -> List[Response]:
-        by_task: Dict[int, int] = {}
-        traces: Dict[int, Any] = {}
+        by_task: Dict[int, Any] = {}
         responses: List[Optional[Response]] = [None] * len(requests)
         with WorkerPool(
             jobs=self.jobs,
@@ -272,50 +274,31 @@ class BatchService:
             cache_dir=self._cache_dir,
             disk_cache=self._disk_cache,
             artifacts=self._artifacts,
-            trace=self.tracer.context() if self.tracer.enabled else None,
             registry=self.registry,
             recorder=self.recorder,
             flight_dir=self.flight_dir,
         ) as pool:
             self._pool = pool
             for index, request in enumerate(requests):
-                trace = None
-                if self.reqtracer is not None:
-                    trace = self.reqtracer.start(
-                        op=request.op, id=request.id
-                    )
+                trace = self._start_trace(request)
+                # The worker's records hang under this run span id.
+                run_id = new_span_id() if trace is not None else None
                 task_id = pool.submit(
                     request.op, request.payload(), timeout=request.timeout,
-                    trace=trace.context() if trace is not None else None,
+                    trace=trace.context(run_id) if trace is not None else None,
                 )
-                by_task[task_id] = index
-                if trace is not None:
-                    traces[task_id] = trace
+                by_task[task_id] = (index, trace, run_id)
             for result in pool.results():
-                index = by_task[result.task_id]
+                index, trace, run_id = by_task[result.task_id]
                 response = response_from_task(requests[index], index, result)
                 self._record(response)
-                trace = traces.pop(result.task_id, None)
                 if trace is not None:
-                    queued_ns = int(result.queued_s * 1e9)
-                    run_ns = int(result.run_s * 1e9)
-                    run_start = trace.now_ns() - run_ns
-                    trace.record("queue", run_start - queued_ns, queued_ns)
-                    run_id = trace.record("run", run_start, run_ns)
-                    if result.meta:
-                        trace.absorb_payload(
-                            result.meta.get("spans"), parent=run_id
-                        )
-                    status = (
-                        "ok" if response.ok
-                        else (response.error_kind or "error")
-                    )
-                    trace.finish(status, cached=response.cached)
+                    record_pool_run(trace, run_id, result)
+                    self._finish_trace(trace, response)
                 if on_response is not None:
                     on_response(response)
                 responses[index] = response
             self.pool_stats = pool.stats()
-            self.worker_spans.extend(pool.worker_spans)
             self.flight_dumps.extend(pool.flight_dumps)
             self._pool = None
         return [r for r in responses if r is not None]
@@ -345,17 +328,6 @@ class BatchService:
             status=status,
             cached=response.cached,
         )
-        if self.tracer.enabled:
-            self.tracer.event(
-                "request",
-                id=response.id,
-                op=response.op,
-                ok=response.ok,
-                cached=response.cached,
-                error_kind=response.error_kind,
-                queued_s=response.queued_s,
-                run_s=response.run_s,
-            )
 
     # -- metrics --------------------------------------------------------
 

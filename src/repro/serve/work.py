@@ -24,7 +24,7 @@ from repro.config import CompilerConfig
 from repro.errors import CompilerError
 from repro.observe.metrics import get_registry
 from repro.observe.recorder import set_active_trace
-from repro.observe.tracer import Tracer, span_payload
+from repro.observe.tracer import Tracer
 from repro.pipeline import compile_source, run_compiled
 from repro.runtime.values import SchemeError
 from repro.sexp.reader import ReaderError
@@ -95,7 +95,8 @@ def task_compile(payload: Dict[str, Any], state: Dict[str, Any]) -> Dict[str, An
 def task_run(payload: Dict[str, Any], state: Dict[str, Any]) -> Dict[str, Any]:
     compiled, hit = _compile(payload, state)
     result = run_compiled(
-        compiled, max_instructions=payload.get("max_instructions")
+        compiled, max_instructions=payload.get("max_instructions"),
+        tracer=state.get("tracer"),
     )
     return {
         "cached": hit,
@@ -165,21 +166,18 @@ def task_selftest(payload: Dict[str, Any], state: Dict[str, Any]) -> Dict[str, A
 
 
 def _task_meta(
-    registry,
-    base: Dict[str, Any],
-    tracer: Optional[Tracer],
-    trace_ctx: Optional[Dict[str, Any]],
+    registry, base: Dict[str, Any], tracer: Optional[Tracer]
 ) -> Optional[Dict[str, Any]]:
     """The telemetry a worker ships with each result: the registry
     delta since the task started (so parent aggregation is exact
     summation — fork inheritance can never double count) plus the
-    task's compiler-pass spans when a trace context was propagated."""
+    task's span records, unchanged, when a trace context came with it."""
     meta: Dict[str, Any] = {}
     delta = registry.diff_snapshot(base)
     if delta.get("counters") or delta.get("histograms"):
         meta["metrics"] = delta
-    if tracer is not None and tracer.spans:
-        meta["spans"] = span_payload(tracer, trace_ctx)
+    if tracer is not None and tracer.records:
+        meta["spans"] = tracer.records
     return meta or None
 
 
@@ -201,7 +199,6 @@ def worker_main(worker_id: int, inbox, outbox, init: Dict[str, Any]) -> None:
     registry = get_registry()
     registry.enable()
     registry.clear()  # drop anything inherited across a fork
-    trace_ctx = init.get("trace")
     state: Dict[str, Any] = {}
     if init.get("cache", True):
         from repro.serve.cache import CompileCache
@@ -219,16 +216,15 @@ def worker_main(worker_id: int, inbox, outbox, init: Dict[str, Any]) -> None:
             return
         if message is None:
             return
-        task_id, kind, payload, task_trace = message
-        # Per-task request-trace context (the serve daemon)
-        # wins over the pool-static one (repro batch --trace).
-        ctx = task_trace or trace_ctx
+        task_id, kind, payload, ctx = message
         base = registry.snapshot()
         tracer: Optional[Tracer] = None
         if ctx is not None:
-            tracer = Tracer(trace_id=ctx.get("trace_id"))
+            # Record under the request's trace: top-level spans hang
+            # off the run span the parent allocated before submitting.
+            tracer = Tracer.from_context(ctx)
             state["tracer"] = tracer
-            set_active_trace(ctx.get("trace_id"))
+            set_active_trace(tracer.trace_id)
         started = time.perf_counter()
         try:
             fn = HANDLERS[kind]
@@ -236,7 +232,7 @@ def worker_main(worker_id: int, inbox, outbox, init: Dict[str, Any]) -> None:
             outbox.put(
                 (worker_id, task_id, True, value, None, None,
                  time.perf_counter() - started,
-                 _task_meta(registry, base, tracer, ctx))
+                 _task_meta(registry, base, tracer))
             )
         except KeyboardInterrupt:  # pragma: no cover - interactive abort
             return
@@ -250,7 +246,7 @@ def worker_main(worker_id: int, inbox, outbox, init: Dict[str, Any]) -> None:
                     error_kind(exc),
                     f"{type(exc).__name__}: {exc}",
                     time.perf_counter() - started,
-                    _task_meta(registry, base, tracer, ctx),
+                    _task_meta(registry, base, tracer),
                 )
             )
         finally:

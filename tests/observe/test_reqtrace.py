@@ -1,5 +1,5 @@
 """Request tracing: traceparent parsing, tail sampling, span trees,
-worker payload absorption, trace metrics, exemplars."""
+worker records, trace metrics, exemplars."""
 
 import pytest
 
@@ -191,55 +191,31 @@ def test_disabled_tracer_returns_none():
 
 
 # ---------------------------------------------------------------------------
-# Worker payload absorption
+# Worker records
 # ---------------------------------------------------------------------------
 
 
-def worker_payload(trace_id, epoch, pid=4242):
-    # The repro.observe.tracer span_payload shape: monotonic offsets
-    # from the worker's own wall anchor, parent named but not id'd.
-    return {
-        "trace_id": trace_id,
-        "pid": pid,
-        "wall_epoch_ns": epoch,
-        "spans": [
-            {"name": "compile", "start": 0, "dur": 9_000_000, "args": {}},
-            {"name": "read", "start": 100_000, "dur": 2_000_000, "args": {}},
-            {"name": "allocate", "start": 3_000_000, "dur": 5_000_000,
-             "args": {"registers_assigned": 7}},
-        ],
-    }
+def test_worker_records_join_the_trace_unchanged(tmp_path):
+    from repro.observe.tracer import Tracer
 
-
-def test_absorb_payload_reconstructs_worker_parentage(tmp_path):
     tracer = make_tracer(tmp_path)
     trace = tracer.start(op="compile")
-    run_id = trace.record("run", trace.now_ns(), 10_000_000)
-    count = trace.absorb_payload(
-        worker_payload(trace.trace_id, trace.wall_epoch_ns), parent=run_id
-    )
-    assert count == 3
+    run_id = new_span_id()
+    worker = Tracer.from_context(trace.context(run_id))
+    with worker.span("compile"):
+        with worker.span("allocate") as sp:
+            pass
+    sp.set(registers_assigned=7)
+    trace.record("run", trace.now_ns(), 1_000, span_id=run_id)
+    trace.records.extend(worker.records)
     trace.finish("ok")
     records = load_trace(str(tmp_path / "spans"), trace.trace_id)
     by_name = {r["name"]: r for r in records}
-    compile_ = by_name["compile"]
-    assert compile_["parent"] == run_id
-    assert compile_["pid"] == 4242
-    assert compile_["service"] == "worker"
-    # read and allocate nest under compile by interval containment.
-    assert by_name["read"]["parent"] == compile_["span"]
-    assert by_name["allocate"]["parent"] == compile_["span"]
+    assert by_name["run"]["parent"] == by_name["request"]["span"]
+    assert by_name["compile"]["parent"] == run_id
+    assert by_name["compile"]["service"] == "worker"
+    assert by_name["allocate"]["parent"] == by_name["compile"]["span"]
     assert by_name["allocate"]["attrs"]["registers_assigned"] == 7
-
-
-def test_absorb_payload_rejects_foreign_trace(tmp_path):
-    tracer = make_tracer(tmp_path)
-    trace = tracer.start(op="compile")
-    payload = worker_payload("f" * 16, trace.wall_epoch_ns)
-    assert trace.absorb_payload(payload) == 0
-    assert trace.absorb_payload(None) == 0
-    assert trace.absorb_payload({}) == 0
-    trace.finish("ok")
 
 
 # ---------------------------------------------------------------------------

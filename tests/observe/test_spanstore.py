@@ -7,10 +7,10 @@ import threading
 
 import pytest
 
+from repro.observe.export import chrome_trace
 from repro.observe.spanstore import (
     SpanStore,
     build_tree,
-    chrome_trace_from_records,
     critical_path,
     critical_path_summary,
     iter_records,
@@ -247,9 +247,9 @@ def test_critical_path_categories():
 
 
 def test_chrome_trace_shape():
-    doc = chrome_trace_from_records(sample_trace())
+    doc = chrome_trace(sample_trace())
     assert doc["displayTimeUnit"] == "ms"
-    assert doc["otherData"]["trace_id"] == "t1"
+    assert doc["otherData"]["traces"] == ["t1"]
     events = doc["traceEvents"]
     metadata = [e for e in events if e.get("ph") == "M"]
     assert {e["pid"] for e in metadata} == {1, 2}
@@ -258,7 +258,7 @@ def test_chrome_trace_shape():
     root = next(e for e in slices if e["name"] == "request")
     assert root["ts"] == 0  # relative to trace start
     assert root["dur"] == pytest.approx(100_000)  # microseconds
-    assert chrome_trace_from_records([])["traceEvents"] == []
+    assert chrome_trace([])["traceEvents"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +302,24 @@ def test_cli_spans_list_show_slowest_export(tmp_path, capsys):
 
     out_path = tmp_path / "chrome.json"
     assert main(
-        ["spans", "export", "ffff", "--chrome", "--trace-dir", directory,
+        ["spans", "export", "ffff", "--trace-dir", directory,
          "-o", str(out_path)]
     ) == 0
     capsys.readouterr()
     doc = json.loads(out_path.read_text())
-    assert doc["otherData"]["trace_id"] == "ffff1234deadbeef"
+    assert doc["otherData"]["traces"] == ["ffff1234deadbeef"]
     assert len([e for e in doc["traceEvents"] if e.get("ph") == "X"]) == 7
+
+    # No id: the whole store as one timeline.
+    assert main(
+        ["spans", "export", "--trace-dir", directory, "-o", str(out_path)]
+    ) == 0
+    capsys.readouterr()
+    doc = json.loads(out_path.read_text())
+    assert doc["otherData"]["traces"] == [
+        "abcd1234deadbeef", "ffff1234deadbeef"
+    ]
+    assert len([e for e in doc["traceEvents"] if e.get("ph") == "X"]) == 14
 
 
 def test_cli_spans_json_modes(tmp_path, capsys):

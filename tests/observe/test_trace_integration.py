@@ -1,6 +1,8 @@
-"""End-to-end acceptance: ``repro trace`` on a Gabriel benchmark
-produces a Chrome-loadable trace with one span per compiler pass and a
-per-procedure profile that conserves the run's counters exactly."""
+"""End-to-end acceptance: ``repro run --trace-dir`` on a Gabriel
+benchmark stores one trace whose ``repro spans export`` is a
+Chrome-loadable timeline with one span per compiler pass, and whose
+per-procedure profile (the children of ``execute``) conserves the run's
+counters exactly."""
 
 import json
 
@@ -27,57 +29,90 @@ def tak_file(tmp_path):
     return str(path)
 
 
-def test_trace_cli_chrome_output(tak_file, tmp_path, capsys):
-    out = tmp_path / "trace.json"
-    assert main(["trace", tak_file, "--out", str(out), "--profile"]) == 0
-    err = capsys.readouterr().err
-    assert "; value 5" in err
+def test_run_trace_dir_then_spans_export(tak_file, tmp_path, capsys):
+    store = str(tmp_path / "spans")
+    assert main(["run", tak_file, "--trace-dir", store]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "5"  # the value, exactly as untraced
+    assert store in captured.err
 
+    out = tmp_path / "trace.json"
+    assert main(["spans", "export", "--trace-dir", store, "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
-    events = doc["traceEvents"]
-    spans = [e for e in events if e["ph"] == "X"]
+    spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
     names = [e["name"] for e in spans]
-    for name in PIPELINE_PASSES:
+    for name in PIPELINE_PASSES + ["execute", "compile", "run"]:
         assert names.count(name) == 1, f"expected exactly one {name!r} span"
-    assert "execute" in names
     for event in spans:
         assert isinstance(event["ts"], (int, float))
         assert isinstance(event["dur"], (int, float))
 
-    # Per-procedure rows ride along; their totals must conserve the
-    # counters recorded in otherData.
-    rows = [e["args"] for e in events if e.get("cat") == "vm-profile"]
+    # The per-procedure rows are zero-duration slices inside execute;
+    # their totals conserve the counters execute carries.
+    execute = next(e for e in spans if e["name"] == "execute")
+    rows = [e for e in spans if e["name"].startswith("proc ")]
     assert rows
-    counters = doc["otherData"]["counters"]
-    assert sum(r["cycles"] for r in rows) == counters["cycles"]
-    assert sum(r["instructions"] for r in rows) == counters["instructions"]
-    assert sum(r["stack_refs"] for r in rows) == counters["stack_refs"]
-    assert sum(r["saves"] for r in rows) == counters["saves"]
-    assert sum(r["restores"] for r in rows) == counters["restores"]
+    for row in rows:
+        assert row["dur"] == 0
+        assert execute["ts"] <= row["ts"] <= execute["ts"] + execute["dur"]
+    counters = execute["args"]
+    assert sum(r["args"]["cycles"] for r in rows) == counters["cycles"]
+    assert sum(r["args"]["instructions"] for r in rows) == counters["instructions"]
 
 
-def test_trace_cli_text_output(tak_file, capsys):
-    assert main(["trace", tak_file, "--format", "text"]) == 0
+def test_spans_show_renders_passes_and_profile(tak_file, tmp_path, capsys):
+    store = str(tmp_path / "spans")
+    assert main(["run", tak_file, "--trace-dir", store]) == 0
+    capsys.readouterr()
+    assert main(["spans", "list", "--trace-dir", store, "--json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["name"] == "run" and row["status"] == "ok"
+
+    assert main(["spans", "show", row["trace"], "--trace-dir", store]) == 0
     out = capsys.readouterr().out
-    assert "compiler passes" in out
-    assert "hot procedures" in out
-    assert "tak" in out
+    for name in PIPELINE_PASSES + ["execute", "proc tak"]:
+        assert name in out
+
+    assert main(
+        ["spans", "show", row["trace"], "--trace-dir", store, "--json"]
+    ) == 0
+    records = json.loads(capsys.readouterr().out)
+    by_id = {r["span"]: r for r in records}
+    procs = [r for r in records if r["name"].startswith("proc ")]
+    assert procs and all(by_id[r["parent"]]["name"] == "execute" for r in procs)
+    # Hottest first.
+    cycles = [r["attrs"]["cycles"] for r in procs]
+    assert cycles == sorted(cycles, reverse=True)
 
 
-def test_trace_cli_json_output(tak_file, capsys):
-    assert main(["trace", tak_file, "--format", "json"]) == 0
+def test_run_json_output(tak_file, capsys):
+    assert main(["run", tak_file, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["value"] == "5"
     assert set(PIPELINE_PASSES) <= set(doc["passes"])
     totals = doc["counters"]
     assert sum(p["cycles"] for p in doc["procedures"]) == totals["cycles"]
+    assert sum(p["stack_refs"] for p in doc["procedures"]) == totals["stack_refs"]
+    assert sum(p["saves"] for p in doc["procedures"]) == totals["saves"]
+    assert sum(p["restores"] for p in doc["procedures"]) == totals["restores"]
+
+
+def test_failed_run_is_traced_with_its_error_kind(tmp_path, capsys):
+    bad = tmp_path / "bad.scm"
+    bad.write_text("(car 5)\n")
+    store = str(tmp_path / "spans")
+    assert main(["run", str(bad), "--trace-dir", store]) == 1
+    assert "runtime error" in capsys.readouterr().err
+    assert main(["spans", "list", "--trace-dir", store, "--json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["status"] == "runtime-error"
 
 
 def test_run_benchmark_with_tracer_and_profile():
     # The benchsuite path: the real Gabriel tak under full observation.
     tracer = Tracer()
     run = run_benchmark("tak", CompilerConfig(), tracer=tracer, profile=True)
-    assert set(PIPELINE_PASSES) <= set(tracer.pass_timings())
+    assert set(PIPELINE_PASSES) <= {r["name"] for r in tracer.records}
     totals = run.result.profile.totals()
     assert totals["cycles"] == run.counters.cycles
     assert totals["instructions"] == run.counters.instructions

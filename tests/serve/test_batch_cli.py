@@ -194,18 +194,39 @@ def test_batch_writes_metrics_snapshot(tmp_path, capsys):
     assert not os.path.exists(missing)
 
 
-def test_batch_trace_merges_worker_spans(tmp_path, capsys):
-    trace = str(tmp_path / "trace.json")
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_batch_trace_dir_holds_every_request_tree(tmp_path, capsys, jobs):
+    store = str(tmp_path / "spans")
     code, _, err = _batch(
-        capsys, "--bench", "tak", "deriv", "--jobs", "2",
-        "--memory-cache", "--no-metrics", "--trace", trace,
+        capsys, "--bench", "tak", "deriv", "--jobs", str(jobs),
+        "--no-cache", "--no-metrics", "--trace-dir", store,
     )
     assert code == 0
-    doc = json.loads(open(trace).read())
-    span_pids = {
-        e["pid"] for e in doc["traceEvents"] if e.get("ph") == "X"
+    assert main(["spans", "list", "--trace-dir", store, "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 2
+    pids = set()
+    for row in rows:
+        assert main(["spans", "show", row["trace"], "--trace-dir", store,
+                     "--json"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        names = {r["name"] for r in records}
+        assert {"request", "run", "compile", "allocate"} <= names
+        assert len(row["pids"]) == (2 if jobs > 1 else 1)
+        pids.update(row["pids"])
+
+    # With no id, export is the whole store as one timeline, one process
+    # row per pid (the batch process and, pooled, its workers).
+    out = str(tmp_path / "all.json")
+    assert main(["spans", "export", "--trace-dir", store, "-o", out]) == 0
+    capsys.readouterr()
+    doc = json.loads(open(out).read())
+    assert sorted(doc["otherData"]["traces"]) == sorted(r["trace"] for r in rows)
+    process_rows = {
+        e["pid"] for e in doc["traceEvents"] if e["name"] == "process_name"
     }
-    assert len(span_pids) >= 2, "worker compile spans missing from trace"
+    assert process_rows == pids
+    assert {e["pid"] for e in doc["traceEvents"] if e["ph"] == "X"} == pids
 
 
 def test_bench_history_appends_records(tmp_path, capsys):

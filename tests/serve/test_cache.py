@@ -91,7 +91,6 @@ FIELD_MUTATIONS = {
     "shuffle_strategy": "naive",
     "save_convention": "callee",
     "branch_prediction": "static-calls",
-    "trace": "all",
     "vm_fast": False,
     "artifact_cache": False,
     "aot_direct_calls": False,

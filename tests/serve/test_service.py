@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import CompilerConfig
-from repro.observe import Tracer
 from repro.serve.service import BatchService, Request, Response, summarize
 
 GOOD = "(define (f x) (* x x)) (f 7)"
@@ -120,17 +118,6 @@ def test_on_response_fires_per_completion():
     assert sorted(seen) == [0, 1, 2]
 
 
-def test_tracer_records_batch_span_and_request_events():
-    tracer = Tracer()
-    service = BatchService(jobs=1, cache=False, tracer=tracer)
-    service.run([Request(op="compile", source="(+ 1 2)")])
-    names = [s.name for s in tracer.spans]
-    assert "batch" in names
-    events = [e for e in tracer.events if e.name == "request"]
-    assert len(events) == 1
-    assert events[0].args["ok"] is True
-
-
 def _reqtracer(tmp_path, rate=1.0):
     from repro.observe.reqtrace import ReqTracer, TailSampler
     from repro.observe.spanstore import SpanStore
@@ -168,13 +155,11 @@ def test_inline_requests_are_traced(tmp_path):
     }
     assert roots["good"]["attrs"]["status"] == "ok"
     assert roots["bad"]["attrs"]["status"] == "runtime-error"
-    # The in-process pass tracer's compile spans were absorbed under
-    # the request trace.
-    good_names = {
-        r["name"] for r in by_trace[roots["good"]["trace"]]
-    }
-    assert "compile" in good_names
-    assert "allocate" in good_names
+    # The handler compiled and ran under the request's own trace.
+    good = {r["name"]: r for r in by_trace[roots["good"]["trace"]]}
+    assert {"run", "compile", "allocate", "execute"} <= set(good)
+    assert good["run"]["parent"] == roots["good"]["span"]
+    assert good["compile"]["parent"] == good["run"]["span"]
 
 
 def test_pooled_requests_are_traced(tmp_path):
@@ -201,6 +186,22 @@ def test_pooled_requests_are_traced(tmp_path):
                 assert parent["start_ns"] <= record["start_ns"]
                 assert (parent["start_ns"] + parent["dur_ns"]
                         >= record["start_ns"] + record["dur_ns"])
+
+
+def test_pooled_worker_records_keep_their_parent_links(tmp_path):
+    service = BatchService(jobs=2, cache=False, reqtracer=_reqtracer(tmp_path))
+    (response,) = service.run([Request(op="run", source=GOOD)])
+    assert response.ok
+    (records,) = _traces(tmp_path).values()
+    by_name = {r["name"]: r for r in records}
+    # The worker recorded under the run span id the batch allocated
+    # before submitting, and its own links arrive unchanged.
+    assert by_name["compile"]["parent"] == by_name["run"]["span"]
+    assert by_name["execute"]["parent"] == by_name["run"]["span"]
+    assert by_name["read"]["parent"] == by_name["compile"]["span"]
+    assert by_name["allocate"]["parent"] == by_name["compile"]["span"]
+    assert by_name["read"]["pid"] == by_name["compile"]["pid"]
+    assert by_name["read"]["service"] == "worker"
 
 
 def test_untraced_service_unchanged(tmp_path):

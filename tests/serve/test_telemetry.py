@@ -1,6 +1,7 @@
 """Service-level telemetry end to end: conservation of pool task
 counts, exact worker-delta aggregation, crash flight dumps,
-cross-process trace merging, and the daemon's metrics/health ops."""
+worker span records in the parent's traces, and the daemon's
+metrics/health ops."""
 
 from __future__ import annotations
 
@@ -8,7 +9,9 @@ import io
 import json
 import os
 
-from repro.observe import Tracer, chrome_trace
+from repro.observe import chrome_trace
+from repro.observe.reqtrace import build_reqtracer
+from repro.observe.spanstore import iter_records
 from repro.observe.metrics import (
     MetricsRegistry,
     lint_openmetrics,
@@ -224,21 +227,22 @@ def test_batch_service_collects_pool_flight_dumps(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_pooled_compile_spans_merge_into_parent_trace():
-    tracer = Tracer()
+def test_pooled_compile_spans_merge_into_parent_trace(tmp_path):
+    store = str(tmp_path / "spans")
     service = BatchService(jobs=2, cache=True, disk_cache=False,
-                           tracer=tracer, registry=MetricsRegistry())
+                           reqtracer=build_reqtracer(store, service="batch"),
+                           registry=MetricsRegistry())
     sources = [f"(+ {i} {i})" for i in range(4)]
     responses = service.run(
         [Request(op="compile", source=s, id=i) for i, s in enumerate(sources)]
     )
     assert all(r.ok for r in responses)
-    assert service.worker_spans, "workers shipped no span payloads"
-    for payload in service.worker_spans:
-        assert payload["trace_id"] == tracer.trace_id
-        assert payload["pid"] != os.getpid()
+    records = list(iter_records(store))
+    worker = [r for r in records if r["service"] == "worker"]
+    assert worker, "workers shipped no span records"
+    assert all(r["pid"] != os.getpid() for r in worker)
 
-    doc = chrome_trace(tracer, workers=service.worker_spans)
+    doc = chrome_trace(records)
     events = doc["traceEvents"]
     pids = {e["pid"] for e in events if e.get("ph") == "X"}
     assert len(pids) >= 2, "expected parent and worker pid rows"
@@ -247,23 +251,12 @@ def test_pooled_compile_spans_merge_into_parent_trace():
     assert "expand" in names and "allocate" in names
 
 
-def test_worker_spans_from_other_trace_are_rejected():
-    tracer = Tracer()
-    stray = {
-        "trace_id": "deadbeef",
-        "pid": 4242,
-        "wall_epoch_ns": 0,
-        "spans": [{"name": "stale", "start": 0, "dur": 1, "args": {}}],
-    }
-    doc = chrome_trace(tracer, workers=[stray])
-    assert 4242 not in {e.get("pid") for e in doc["traceEvents"]}
-    assert "stale" not in {e.get("name") for e in doc["traceEvents"]}
-
-
-def test_untraced_service_ships_no_spans():
-    service = BatchService(jobs=2, cache=False, registry=MetricsRegistry())
-    service.run([Request(op="compile", source=GOOD)])
-    assert service.worker_spans == []
+def test_untraced_tasks_ship_no_spans():
+    with WorkerPool(jobs=1, cache=False, registry=MetricsRegistry()) as pool:
+        pool.submit("compile", {"source": GOOD})
+        (result,) = _drain(pool).values()
+    assert result.ok
+    assert "spans" not in (result.meta or {})
 
 
 # ---------------------------------------------------------------------------

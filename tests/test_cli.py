@@ -70,10 +70,12 @@ class TestRun:
         assert "allocate" in doc["passes"]
         assert doc["procedures"]
 
-    def test_run_trace_file(self, tak_file, tmp_path, capsys):
+    def test_run_trace_dir(self, tak_file, tmp_path, capsys):
+        store = str(tmp_path / "spans")
         trace = tmp_path / "trace.json"
-        assert main(["run", tak_file, "--trace", str(trace)]) == 0
+        assert main(["run", tak_file, "--trace-dir", store]) == 0
         assert capsys.readouterr().out.strip().endswith("3")
+        assert main(["spans", "export", "--trace-dir", store, "-o", str(trace)]) == 0
         doc = json.loads(trace.read_text())
         names = [e["name"] for e in doc["traceEvents"] if e["ph"] == "X"]
         assert "allocate" in names and "execute" in names
@@ -163,12 +165,16 @@ class TestBenchAndTables:
         assert rows[0]["benchmark"] == "tak"
         assert rows[0]["counters"]["cycles"] > 0
 
-    def test_bench_trace(self, tmp_path, capsys):
+    def test_bench_trace_dir(self, tmp_path, capsys):
+        store = str(tmp_path / "spans")
         trace = tmp_path / "bench-trace.json"
-        assert main(["bench", "tak", "--trace", str(trace)]) == 0
+        assert main(["bench", "tak", "deriv", "--trace-dir", store]) == 0
+        assert main(["spans", "export", "--trace-dir", store, "-o", str(trace)]) == 0
         doc = json.loads(trace.read_text())
+        assert len(doc["otherData"]["traces"]) == 2  # one per benchmark
         names = [e["name"] for e in doc["traceEvents"] if e["ph"] == "X"]
-        assert "bench" in names and "allocate" in names
+        assert names.count("bench") == 2
+        assert "allocate" in names and "execute" in names
 
     def test_bench_allocator_sweep(self, capsys):
         assert main(["bench", "tak", "--allocator", "all"]) == 0

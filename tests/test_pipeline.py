@@ -3,7 +3,6 @@
 import pytest
 
 from repro import (
-    CompileTimes,
     CompilerError,
     SchemeError,
     compile_source,
@@ -19,13 +18,34 @@ class TestCompile:
         assert compiled.entry.instructions
         assert compiled.total_instructions() > 0
 
-    def test_compile_records_times(self):
-        times = CompileTimes()
-        compile_source("(define (f x) x) (f 1)", times=times)
-        assert times.total > 0
+    def test_compile_records_pass_spans(self):
+        from repro.observe import Tracer
+
+        tracer = Tracer()
+        compile_source("(define (f x) x) (f 1)", tracer=tracer)
+        by_name = {r["name"]: r for r in tracer.records}
         for phase in ("read", "expand", "convert", "closure", "allocate", "codegen"):
-            assert phase in times.phases
-        assert 0 < times.register_allocation_fraction() < 1
+            assert by_name[phase]["parent"] == by_name["compile"]["span"]
+            assert by_name[phase]["dur_ns"] > 0
+        passes = sum(
+            r["dur_ns"] for r in tracer.records if r["name"] != "compile"
+        )
+        assert 0 < by_name["allocate"]["dur_ns"] < passes
+
+    def test_compile_core_shares_the_back_half(self):
+        from repro.observe import Tracer
+        from repro.pipeline import compile_core
+
+        source = "(define (f x) (* x x)) (f 12)"
+        tracer = Tracer()
+        compiled = compile_core(expand_source(source), tracer=tracer)
+        names = [r["name"] for r in tracer.records]
+        assert names == [
+            "convert", "closure", "allocate", "codegen", "compile-core"
+        ]
+        assert run_compiled(compiled).value == 144
+        assert (compiled.total_instructions()
+                == compile_source(source).total_instructions())
 
     def test_prelude_optional(self):
         with pytest.raises(CompilerError, match="unbound"):
