@@ -64,9 +64,9 @@ def test_null_tracer_compile_within_noise():
         f"instrumented {instrumented * 1e3:8.3f} ms\n"
         f"ratio        {ratio:8.3f}x",
     )
-    # Best-of-N wall clock wobbles; the null spans and the per-pass
-    # CompileTimes bookkeeping must stay within noise (plus a small
-    # absolute floor so sub-millisecond jitter cannot fail the guard).
+    # Best-of-N wall clock wobbles; the null tracer's per-pass spans
+    # must stay within noise (plus a small absolute floor so
+    # sub-millisecond jitter cannot fail the guard).
     assert instrumented <= bare * 1.30 + 0.002, (
         f"null-tracer pipeline {ratio:.2f}x slower than bare passes"
     )

@@ -272,9 +272,13 @@ class CodeObject:
     * ``fast_instructions`` — pre-decoded fused stream for the VM fast
                             path (``repro.vm.predecode``), cached on
                             first execution
-    * ``fast_blocks``     — block-compiled form of the fused stream
-                            (``repro.vm.blockcompile``), cached on
-                            first execution under the fast loop
+    * ``fast_blocks``     — trace-compiled form of the fused stream
+                            (``repro.vm.blockcompile``), cached once
+                            the fast loop finds the code hot (until
+                            then it runs from a step table that is not
+                            kept here), or built up front by
+                            ``repro.vm.machine.trace_all``, artifact
+                            loads and AOT modules
     """
 
     _counter = itertools.count()

@@ -155,19 +155,10 @@ def collect_warm_start(
 
     from repro.serve.cache import CompileCache
     from repro.vm.aotemit import emit_module
-    from repro.vm.blockcompile import compile_blocks
-    from repro.vm.predecode import predecode_code
+    from repro.vm.machine import trace_all
 
     config = config or CompilerConfig()
     names = list(names) if names is not None else list(SPEED_CORPUS)
-
-    def warm(compiled) -> None:
-        cost_model = compiled.config.cost_model
-        cp = compiled.regfile.cp.index
-        for code in compiled.codes:
-            predecode_code(code)
-            if code.fast_blocks is None:
-                compile_blocks(code, cost_model, cp)
 
     def best(fn) -> float:
         b = float("inf")
@@ -194,7 +185,7 @@ def collect_warm_start(
             source = BENCHMARKS[name].source
 
             def cold() -> None:
-                warm(compile_source(source, config))
+                trace_all(compile_source(source, config))
 
             # Fresh CompileCache instances per repeat: the memory LRU is
             # process-local, so every timed load comes off the disk tier
@@ -207,7 +198,7 @@ def collect_warm_start(
                     root=isa_root, artifacts=False
                 ).compile(source, config)
                 assert hit
-                warm(compiled)
+                trace_all(compiled)
 
             art_root = os.path.join(tmp, f"art{seq}")
             CompileCache(root=art_root).compile(source, config)
@@ -217,7 +208,7 @@ def collect_warm_start(
                     source, config
                 )
                 assert hit
-                warm(compiled)
+                trace_all(compiled)
 
             module_path = os.path.join(tmp, f"aot{seq}.py")
             with open(module_path, "w") as handle:

@@ -12,12 +12,13 @@ equality, two invariants from the observe layer are cross-checked:
   performs more dynamic saves than saving immediately before each call;
   whenever the matrix contains a caller-save ``lazy`` point and its
   ``late`` counterpart, the bound is asserted on the measured counters;
-* **vm-fast** — the trace-compiled fast loop and the legacy dispatch
-  loop must agree exactly (value, output, counters) on the same
-  compiled program; checked on the first few configurations of each
-  program to bound cost.  Budget-exceeded runs only assert agreement on
-  the error class: the fast loop checks its budget once per trace, so
-  the raise point may trail the legacy loop's by up to one trace.
+* **vm-fast** — the fast loop and the legacy dispatch loop must agree
+  exactly (value, output, counters) on the same compiled program, with
+  the fast loop run tiered and then all-traced; checked on the first
+  few configurations of each program to bound cost.  Budget-exceeded
+  runs only assert agreement on the error class: the fast loop checks
+  its budget once per trace, so the raise point may trail the legacy
+  loop's by up to one trace.
 
 A program the *interpreter* cannot run (wrong arity the generator
 slipped through, step budget exceeded) is not a divergence — it raises
@@ -40,13 +41,13 @@ from repro.pipeline import compile_core, run_compiled
 from repro.runtime.values import SchemeError
 from repro.sexp.reader import ReaderError, read_all
 from repro.sexp.writer import write_datum
-from repro.vm.machine import VMError
+from repro.vm.machine import VMError, trace_all
 
 DEFAULT_MAX_INSTRUCTIONS = 5_000_000
 DEFAULT_INTERP_STEPS = 2_000_000
 
 #: Configurations per program on which the fast-vs-legacy loop
-#: comparison runs (each costs two extra non-debug executions).
+#: comparison runs (each costs three extra non-debug executions).
 FAST_CHECK_LIMIT = 4
 
 
@@ -277,7 +278,10 @@ def check_program(
 
 def _vm_fast_problem(compiled, max_instructions: int) -> Optional[Tuple[str, str]]:
     """The fast/legacy loop agreement invariant for one compiled
-    program: identical value, output, and counters, or the same error.
+    program: identical value, output, and counters, or the same error,
+    from the fast loop at both ends of its tiers — tiered (cold code
+    objects run from step tables) and all-traced (every code object
+    trace-compiled first).
 
     Budget errors (``VMError``) compare by class only — the fast loop's
     once-per-trace budget check may raise a few instructions after the
@@ -296,17 +300,26 @@ def _vm_fast_problem(compiled, max_instructions: int) -> Optional[Tuple[str, str
         except RecursionError:
             return ("recursion", None)
 
-    slow_kind, slow = attempt(False)
-    fast_kind, fast = attempt(True)
+    slow = attempt(False)
+    problem = _fast_disagreement(slow, attempt(True), "tiered")
+    if problem is None:
+        trace_all(compiled)
+        problem = _fast_disagreement(slow, attempt(True), "all-traced")
+    return problem
+
+
+def _fast_disagreement(slow_attempt, fast_attempt, mode: str):
+    slow_kind, slow = slow_attempt
+    fast_kind, fast = fast_attempt
     if slow_kind != fast_kind:
-        return (f"legacy: {slow_kind}", f"fast: {fast_kind}")
+        return (f"legacy: {slow_kind}", f"{mode}: {fast_kind}")
     if slow_kind == "ok":
         slow_value = write_datum(slow.value)
         fast_value = write_datum(fast.value)
         if slow_value != fast_value:
-            return (f"value {slow_value}", f"value {fast_value}")
+            return (f"value {slow_value}", f"{mode}: value {fast_value}")
         if slow.output != fast.output:
-            return (f"output {slow.output!r}", f"output {fast.output!r}")
+            return (f"output {slow.output!r}", f"{mode}: output {fast.output!r}")
         slow_counts = slow.counters.as_dict()
         fast_counts = fast.counters.as_dict()
         if slow_counts != fast_counts:
@@ -315,9 +328,9 @@ def _vm_fast_problem(compiled, max_instructions: int) -> Optional[Tuple[str, str
                 for key in set(slow_counts) | set(fast_counts)
                 if slow_counts.get(key) != fast_counts.get(key)
             }
-            return ("counters equal", f"counters differ: {diff}")
+            return ("counters equal", f"{mode}: counters differ: {diff}")
     elif slow_kind == "error" and slow != fast:
-        return (f"error {slow}", f"error {fast}")
+        return (f"error {slow}", f"{mode}: error {fast}")
     return None
 
 

@@ -241,7 +241,10 @@ def run_compiled(
     :class:`repro.observe.VMProfiler` whose per-procedure table lands
     on ``ExecutionResult.profile``; *tracer* (if recording) wraps the
     run in an ``execute`` span carrying the instruction and cycle
-    counts, with the profile rows as its zero-duration children.
+    counts and the fast loop's tier counts (``codes_interpreted``: code
+    objects that ran only from step tables; ``codes_traced``: code
+    objects trace-compiled during the run), with the profile rows as
+    its zero-duration children.
     *vm_fast* overrides the config's loop selection (``True`` =
     pre-decoded fast loop, ``False`` = legacy loop); differential tests
     use it to run one compiled program under both dispatch loops.
@@ -259,7 +262,12 @@ def run_compiled(
         value = machine.run()
     if tracer.enabled:
         c = machine.counters
-        sp.set(instructions=c.instructions, cycles=c.cycles)
+        sp.set(
+            instructions=c.instructions,
+            cycles=c.cycles,
+            codes_interpreted=machine.codes_interpreted,
+            codes_traced=machine.codes_traced,
+        )
         if profiler is not None:
             profiler.record(tracer, sp)
     if REGISTRY.enabled:

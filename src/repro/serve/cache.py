@@ -123,8 +123,9 @@ def serialize_compiled(compiled: CompiledProgram) -> bytes:
     The VM fast-path caches (``fast_instructions``/``fast_blocks``)
     hold exec-compiled Python functions, which are both unpicklable and
     derived data — they are stripped for the duration of the pickle and
-    restored, and are rebuilt lazily on first execution of a
-    deserialized program.  The payload is framed as
+    restored; a deserialized program rebuilds them as it runs (the
+    decoded stream on a code object's first entry, the trace table once
+    the code turns hot).  The payload is framed as
     ``MAGIC + sha256(body) + body`` so corruption is detectable.
     """
     stashed = [

@@ -691,9 +691,11 @@ class NetServer:
             if self.registry.enabled:
                 declare(self.registry, "repro_serve_inflight_dedup").inc()
             self.recorder.record("net.dedup", id=request.id, tenant=tenant)
+        wait_ns = 0
         if trace is not None:
+            wait_ns = trace.now_ns()
             trace.record(
-                "dedup", dedup_ns, trace.now_ns() - dedup_ns,
+                "dedup", dedup_ns, wait_ns - dedup_ns,
                 role="leader" if leader else "follower",
             )
         # This request's own view of the flight: cancelling it withdraws
@@ -702,7 +704,7 @@ class NetServer:
         task = asyncio.ensure_future(
             self._respond(
                 conn, request, key, shared, waiting, not leader, started,
-                trace, run_id,
+                trace, run_id, wait_ns,
             )
         )
         self._outstanding.add(task)
@@ -730,8 +732,10 @@ class NetServer:
         started: float,
         trace=None,
         run_id: Optional[str] = None,
+        wait_ns: int = 0,
     ) -> None:
-        wait_ns = trace.now_ns() if trace is not None else 0
+        # The wait began where dedup ended, in _admit: this task may
+        # first run much later under a pipelined burst.
         try:
             result = await waiting
         except asyncio.CancelledError:

@@ -51,6 +51,9 @@ class TaskResult:
     ``meta`` is the worker's telemetry shipment (registry delta and/or
     span records); the pool merges the delta before handing the result
     out, and the submitter adopts the records into its trace.
+    ``received_ns`` is when the submitting process learned the outcome
+    (``time.perf_counter_ns``), so a consumer that gets to the result
+    later can still place the run on its timeline.
     """
 
     task_id: int
@@ -62,6 +65,7 @@ class TaskResult:
     queued_s: float = 0.0
     run_s: float = 0.0
     meta: Optional[Dict[str, Any]] = None
+    received_ns: int = field(default_factory=time.perf_counter_ns)
 
 
 @dataclass

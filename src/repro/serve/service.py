@@ -155,11 +155,13 @@ def response_from_task(request: Request, index: int, result: TaskResult) -> Resp
 
 def record_pool_run(trace, run_id: str, result: TaskResult, parent=None) -> None:
     """Record the pool's queue/run split for a task submitted under
-    ``trace.context(run_id)``, re-timed onto the wall clock (queue ends
-    where the worker run began), and adopt the worker's records."""
+    ``trace.context(run_id)``, re-timed onto the wall clock (the run
+    ends when the result was received, the queue ends where the run
+    began), and adopt the worker's records."""
     queued_ns = int(result.queued_s * 1e9)
     run_ns = int(result.run_s * 1e9)
-    run_start = trace.now_ns() - run_ns
+    received = trace.now_ns() - (time.perf_counter_ns() - result.received_ns)
+    run_start = received - run_ns
     trace.record("queue", run_start - queued_ns, queued_ns, parent=parent)
     trace.record("run", run_start, run_ns, parent=parent, span_id=run_id)
     if result.meta and result.meta.get("spans"):

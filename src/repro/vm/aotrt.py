@@ -15,9 +15,10 @@ this module).  So the VM's runtime pieces live here, not in
   counter-accumulator slots (``ACC_*``) — which
   :mod:`repro.vm.blockcompile` imports to generate traces against;
 * :func:`run_blocks`, the one block trampoline.  The in-process fast
-  loop (``Machine._run_fast``) runs it with a loader that compiles
-  each code object's trace table on first entry; :func:`run_program`
-  runs it over an emitted module's prebuilt tables.
+  loop (``Machine._run_fast``) runs it with a tiered loader: a code
+  object's step table while it is cold, its trace table (compiled
+  once, then cached) when it turns hot; :func:`run_program` runs it
+  over an emitted module's prebuilt tables.
 
 Emitted tables may carry two exit kinds the in-process compiler never
 produces: :data:`K_CALL_DIRECT` and :data:`K_TAIL_DIRECT` mark call
@@ -315,9 +316,11 @@ def run_blocks(
     capacity, stack shrinks)``.
 
     Each code's trace table is its ``fast_blocks``; ``load(code)``
-    builds and caches one for a code that has none yet (``None``; a
-    built table is never empty) — lazy compilation in-process, never
-    for emitted modules, which carry every table.  The loop does one
+    supplies a table for a code that has none yet (``None``; a built
+    table is never empty), at every transfer into it until it caches
+    one there — in-process, a step table while the code is cold and a
+    trace table once it is hot; never for emitted modules, which carry
+    every table.  The loop does one
     indexed fetch and one call per trace and performs every control
     transfer with the legacy loop's semantics.  Counter deltas
     accumulate locally and are flushed into *counters* at the end and,

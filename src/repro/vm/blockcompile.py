@@ -52,8 +52,25 @@ performs calls, returns, branch-target selection, and the
 stack-release policy — byte-for-byte the legacy loop's semantics, so
 values, output, counters, cycles, and per-procedure profiles are
 bit-identical to ``Machine._run`` (asserted by
-``tests/vm/test_predecode_equiv.py`` and the fuzz oracle's ``vm-fast``
-invariant).
+``tests/vm/test_predecode_equiv.py``, ``tests/vm/test_tiers.py`` and
+the fuzz oracle's ``vm-fast`` invariant).
+
+**Two tiers, one builder.**  Compiling a trace module costs far more
+than running cold code ever saves (CPython's ``compile()`` of the
+generated text dominates a short run), so the fast loop does it only
+for code that proves hot.  :func:`_build_trace` drives a writer: the
+:class:`_TraceWriter` turns each trace into source for
+:func:`compile_blocks`; the :class:`_StepWriter` records the same trace
+as a tuple of steps — the same instructions, static cycle offsets and
+exit tuples — that :func:`run_steps`, one generic interpreter with the
+block protocol's shape, runs without any ``compile()``.  The cycle
+offsets and counter deltas live in their common base, so a code
+object's step table (:func:`step_blocks`) has exactly its trace
+table's leaders and exits, and a code object can move from one to the
+other at any control transfer with nothing observable changing.
+``Machine._run_fast`` chooses the table per code object (see
+:data:`repro.vm.machine.TIER_THRESHOLD`); only trace tables are cached
+on the code object.
 
 Trace boundaries and ``pc`` values live in the *fused* coded stream's
 index space — the same space return addresses and captured
@@ -64,10 +81,10 @@ trace that reaches it); :data:`TRACE_LIMIT` bounds the duplication by
 ending over-long traces at the next natural boundary.
 
 The one observable relaxation: the instruction budget
-(``max_instructions``) is checked once per trace, after the trace has
-run, so a budget-exceeded run may raise up to a trace's length later
-than the legacy loop's per-instruction check (and may have performed
-those instructions' effects).  Successful runs are unaffected — their
+(``max_instructions``) is checked once per trace, traced or stepped
+alike, after the trace has run, so a budget-exceeded run may raise up
+to a trace's length later than the legacy loop's per-instruction check
+(and may have performed those instructions' effects).  Successful runs are unaffected — their
 totals never cross the budget — and nothing compares counters or
 output on budget-error paths.
 """
@@ -75,6 +92,7 @@ output on budget-error paths.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.runtime.primitives import PRIMITIVES
@@ -237,32 +255,89 @@ class _ConstPool:
         return name
 
 
-class _TraceWriter:
-    """Generates one trace function's source, tracking the static
-    cycle offset (`dc`) and the running counter deltas."""
+#: Counter slot of each straight-line opcode that counts as it runs;
+#: stack references add their kind (operand 3) to ACC_READS/ACC_WRITES.
+_OP_SLOT = {
+    OP_LD: ACC_READS,
+    OP_LD_OUT: ACC_READS,
+    OP_ST: ACC_WRITES,
+    OP_ST_OUT: ACC_WRITES,
+    OP_MOV: ACC_MOV,
+    OP_SWAP: ACC_SWAP,
+    OP_PERMI: ACC_SWAP,
+    OP_PRIM0: ACC_PRIM,
+    OP_PRIM1: ACC_PRIM,
+    OP_PRIM2: ACC_PRIM,
+    OP_PRIM3: ACC_PRIM,
+    OP_PRIMN: ACC_PRIM,
+    OP_PRIMX: ACC_PRIM,
+    OP_CLOSURE: ACC_CLO,
+    OP_CLO_ALLOC: ACC_CLO,
+}
 
-    def __init__(self, name: str, consts: _ConstPool, cp: int,
-                 load_latency: int, store_extra: int) -> None:
-        self.lines: List[str] = [
-            f"def {name}(regs, ready, stack, sp, cycle, port):"
-        ]
-        self.consts = consts
+
+class _Writer:
+    """What both trace writers share: the static cycle offset `dc` and
+    the running counter deltas that :func:`_build_trace` snapshots into
+    each exit.  Keeping them here, not in each writer, is what makes a
+    step table's exits equal to the trace table's.  Subclasses say what
+    one instruction does (:meth:`body`) and how a trace leaves
+    (``branch_exit``, ``branch_exit_both``, ``return_exit``)."""
+
+    def __init__(self, cp: int, load_latency: int, store_extra: int) -> None:
         self.cp = cp
         self.load_latency = load_latency
         self.store_extra = store_extra
         self.dc = 0
         self.counts: Dict[int, int] = {}
 
-    # -- helpers -----------------------------------------------------------
-
-    def w(self, line: str) -> None:
-        self.lines.append("    " + line)
-
     def count(self, slot: int, n: int = 1) -> None:
         self.counts[slot] = self.counts.get(slot, 0) + n
 
     def snapshot(self) -> Tuple[Tuple[int, int], ...]:
         return tuple(sorted(self.counts.items()))
+
+    def emit(self, ins: Tuple[Any, ...]) -> None:
+        """One straight-line instruction: its dispatch charge, its body
+        (against the charged `dc`), a store's extra cycles, its count."""
+        self.dc += 1
+        self.body(ins)
+        op = ins[0]
+        if op == OP_ST or op == OP_ST_OUT:
+            self.dc += self.store_extra
+        slot = _OP_SLOT.get(op)
+        if slot is not None:
+            if slot == ACC_READS or slot == ACC_WRITES:
+                slot += ins[3]
+            counts = self.counts
+            counts[slot] = counts.get(slot, 0) + 1
+
+    def branch_head(self, src: int) -> None:
+        """The branch's dispatch charge and count, shared by the taken
+        exit and the inline fall-through continuation."""
+        self.dc += 1
+        self.count(ACC_BRANCH)
+
+    def body(self, ins: Tuple[Any, ...]) -> None:  # pragma: no cover
+        raise NotImplementedError
+
+
+class _TraceWriter(_Writer):
+    """Generates one trace function's source."""
+
+    def __init__(self, name: str, consts: _ConstPool, cp: int,
+                 load_latency: int, store_extra: int) -> None:
+        super().__init__(cp, load_latency, store_extra)
+        self.name = name
+        self.lines: List[str] = [
+            f"def {name}(regs, ready, stack, sp, cycle, port):"
+        ]
+        self.consts = consts
+
+    # -- helpers -----------------------------------------------------------
+
+    def w(self, line: str) -> None:
+        self.lines.append("    " + line)
 
     def cyc(self) -> str:
         return f"cycle + {self.dc}" if self.dc else "cycle"
@@ -315,7 +390,6 @@ class _TraceWriter:
             args = ", ".join(e for e, _ in operands)
             self.w(f"regs[{dst}] = {ref}([{args}], port)")
         self.w(f"ready[{dst}] = {self.cyc()}")
-        self.count(ACC_PRIM)
 
     def _prim_inline(
         self, tag: Tuple[str, ...], dst: int, fn: Any,
@@ -442,24 +516,19 @@ class _TraceWriter:
 
     # -- straight-line instruction bodies ----------------------------------
 
-    def emit(self, ins: Tuple[Any, ...]) -> None:
+    def body(self, ins: Tuple[Any, ...]) -> None:
         op = ins[0]
-        self.dc += 1
         L = self.load_latency
         if op == OP_LD:
             self.w(f"regs[{ins[1]}] = stack[{self.sp_index(ins[2])}]")
             self.w(f"ready[{ins[1]}] = cycle + {self.dc + L}")
-            self.count(ACC_READS + ins[3])
         elif op == OP_ST:
             self.stall(ins[2])
             self.w(f"stack[{self.sp_index(ins[1])}] = regs[{ins[2]}]")
-            self.dc += self.store_extra
-            self.count(ACC_WRITES + ins[3])
         elif op == OP_MOV:
             self.stall(ins[2])
             self.w(f"regs[{ins[1]}] = regs[{ins[2]}]")
             self.w(f"ready[{ins[1]}] = {self.cyc()}")
-            self.count(ACC_MOV)
         elif op == OP_SWAP:
             self.stall(ins[1])
             self.stall(ins[2])
@@ -467,7 +536,6 @@ class _TraceWriter:
                    f"regs[{ins[2]}], regs[{ins[1]}]")
             self.w(f"ready[{ins[1]}] = {self.cyc()}")
             self.w(f"ready[{ins[2]}] = {self.cyc()}")
-            self.count(ACC_SWAP)
         elif op == OP_PERMI:
             rs = ins[1]
             for r in rs:
@@ -479,7 +547,6 @@ class _TraceWriter:
             self.w(f"{lhs} = {rhs}")
             for r in rs:
                 self.w(f"ready[{r}] = {self.cyc()}")
-            self.count(ACC_SWAP)
         elif op == OP_LI:
             self.w(f"regs[{ins[1]}] = {self.imm(ins[2])}")
             self.w(f"ready[{ins[1]}] = {self.cyc()}")
@@ -526,12 +593,10 @@ class _TraceWriter:
             vals = ", ".join(f"regs[{s}]" for s in ins[3])
             self.w(f"regs[{ins[1]}] = VMClosure({codeobj}, [{vals}])")
             self.w(f"ready[{ins[1]}] = {self.cyc()}")
-            self.count(ACC_CLO)
         elif op == OP_CLO_ALLOC:
             codeobj = self.consts.ref(ins[2])
             self.w(f"regs[{ins[1]}] = VMClosure({codeobj}, [None] * {ins[3]})")
             self.w(f"ready[{ins[1]}] = {self.cyc()}")
-            self.count(ACC_CLO)
         elif op == OP_CLO_SET:
             self.stall(ins[3])
             self.w(f"regs[{ins[1]}].slots[{ins[2]}] = regs[{ins[3]}]")
@@ -539,24 +604,18 @@ class _TraceWriter:
             self.ensure(self.sp_index(ins[2]))
             self.w(f"regs[{ins[1]}] = stack[idx]")
             self.w(f"ready[{ins[1]}] = cycle + {self.dc + L}")
-            self.count(ACC_READS + ins[3])
         elif op == OP_ST_OUT:
             self.stall(ins[2])
             self.ensure(self.sp_index(ins[1]))
             self.w(f"stack[idx] = regs[{ins[2]}]")
-            self.dc += self.store_extra
-            self.count(ACC_WRITES + ins[3])
         else:  # pragma: no cover - closed opcode set
             raise ValueError(f"cannot block-compile opcode {op}")
 
     # -- exits -------------------------------------------------------------
 
     def branch_head(self, src: int) -> None:
-        """The branch's dispatch charge and source stall, shared by the
-        taken exit and the inline fall-through continuation."""
-        self.dc += 1
+        super().branch_head(src)
         self.stall(src)
-        self.count(ACC_BRANCH)
 
     def branch_exit(self, src: int, negate: bool, exit_id: int) -> None:
         """Taken side leaves the trace; not-taken continues inline."""
@@ -578,6 +637,234 @@ class _TraceWriter:
 
     def source(self) -> str:
         return "\n".join(self.lines)
+
+
+# Step opcodes: what the step interpreter dispatches on.  A step is a
+# 5-tuple ``(op, dc, a, b, c)``: ``dc`` is the static cycle offset the
+# trace writer would have baked into the same line (for loads, with the
+# load latency added), ``a``-``c`` are operands.
+S_LD = 0        # regs[a] = stack[sp + b]; ready[a] = cycle + dc
+S_MOV = 1       # regs[a] = regs[b]
+S_ST = 2        # stack[sp + a] = regs[b]
+S_BRF = 3       # leave through exit b if regs[a] is False
+S_PRIM2 = 4     # regs[a] = b([regs[c[0]], regs[c[1]]], port)
+S_EXIT = 5      # leave through exit a
+S_LI = 6        # regs[a] = b
+S_PRIM1 = 7     # regs[a] = b([regs[c]], port)
+S_CLO_REF = 8   # regs[a] = regs[c].slots[b]  (c is the closure register)
+S_BRT = 9       # leave through exit b if regs[a] is not False
+S_PRIMN = 10    # regs[a] = b([regs[s] for s in c], port)
+S_PRIM0 = 11    # regs[a] = b(list(c), port)
+S_PRIMX = 12    # regs[a] = b(c's registers and immediates, port)
+S_CLOSURE = 13  # regs[a] = VMClosure(b, [regs[s] for s in c])
+S_CLO_ALLOC = 14  # regs[a] = VMClosure(b, [None] * c)
+S_CLO_SET = 15  # regs[a].slots[b] = regs[c]
+S_LD_OUT = 16   # like S_LD at stack offset b, growing the stack first
+S_ST_OUT = 17   # like S_ST at stack offset a, growing the stack first
+S_SWAP = 18     # exchange regs[a] and regs[b]
+S_PERMI = 19    # rotate the registers a left by one
+S_BR_BOTH = 20  # leave through b[0] if the branch on regs[a] is taken
+                # (c: taken when not False), else through b[1]
+
+
+class _StepWriter(_Writer):
+    """Records one trace as a tuple of steps for :func:`run_steps`:
+    the same instructions, static cycle offsets and exits the
+    :class:`_TraceWriter` turns into source, with nothing to compile."""
+
+    def __init__(self, cp: int, load_latency: int, store_extra: int) -> None:
+        super().__init__(cp, load_latency, store_extra)
+        self.steps: List[Tuple[Any, ...]] = []
+
+    def body(self, ins: Tuple[Any, ...]) -> None:
+        op = ins[0]
+        dc = self.dc
+        add = self.steps.append
+        if op == OP_LD:
+            add((S_LD, dc + self.load_latency, ins[1], ins[2], None))
+        elif op == OP_ST:
+            add((S_ST, dc, ins[1], ins[2], None))
+        elif op == OP_MOV:
+            add((S_MOV, dc, ins[1], ins[2], None))
+        elif op == OP_LI:
+            add((S_LI, dc, ins[1], ins[2], None))
+        elif op == OP_PRIM1:
+            add((S_PRIM1, dc, ins[1], ins[2], ins[3]))
+        elif op == OP_PRIM2:
+            add((S_PRIM2, dc, ins[1], ins[2], (ins[3], ins[4])))
+        elif op == OP_PRIM3:
+            add((S_PRIMN, dc, ins[1], ins[2], ins[3:6]))
+        elif op == OP_PRIMN:
+            add((S_PRIMN, dc, ins[1], ins[2], ins[3]))
+        elif op == OP_PRIM0:
+            add((S_PRIM0, dc, ins[1], ins[2], ins[3]))
+        elif op == OP_PRIMX:
+            add((S_PRIMX, dc, ins[1], ins[2], ins[3]))
+        elif op == OP_CLO_REF:
+            add((S_CLO_REF, dc, ins[1], ins[2], self.cp))
+        elif op == OP_CLOSURE:
+            add((S_CLOSURE, dc, ins[1], ins[2], ins[3]))
+        elif op == OP_CLO_ALLOC:
+            add((S_CLO_ALLOC, dc, ins[1], ins[2], ins[3]))
+        elif op == OP_CLO_SET:
+            add((S_CLO_SET, dc, ins[1], ins[2], ins[3]))
+        elif op == OP_LD_OUT:
+            add((S_LD_OUT, dc + self.load_latency, ins[1], ins[2], None))
+        elif op == OP_ST_OUT:
+            add((S_ST_OUT, dc, ins[1], ins[2], None))
+        elif op == OP_SWAP:
+            add((S_SWAP, dc, ins[1], ins[2], None))
+        elif op == OP_PERMI:
+            add((S_PERMI, dc, ins[1], None, None))
+        else:  # pragma: no cover - closed opcode set
+            raise ValueError(f"cannot step opcode {op}")
+
+    def branch_exit(self, src: int, negate: bool, exit_id: int) -> None:
+        self.steps.append((S_BRT if negate else S_BRF, self.dc, src, exit_id, None))
+
+    def branch_exit_both(
+        self, src: int, negate: bool, taken_id: int, fall_id: int
+    ) -> None:
+        self.steps.append((S_BR_BOTH, self.dc, src, (taken_id, fall_id), negate))
+
+    def return_exit(self, exit_id: int) -> None:
+        self.steps.append((S_EXIT, self.dc, exit_id, None, None))
+
+
+def run_steps(steps, regs, ready, stack, sp, cycle, port):
+    """The step interpreter: run one recorded trace with the block
+    protocol's effects and result, ``(cycle, exit_id)``.
+
+    A stall moves the base ``cycle`` so that ``cycle + dc`` is the
+    source's ready time, exactly as a generated trace does.  Primitives
+    always go through their real callable (a trace open-codes some of
+    them behind guards that are exact, so the results are the same).
+    """
+    for op, dc, a, b, c in steps:
+        if op == S_LD:
+            regs[a] = stack[sp + b]
+            ready[a] = cycle + dc
+        elif op == S_MOV:
+            t = ready[b]
+            if t > cycle + dc:
+                cycle = t - dc
+            regs[a] = regs[b]
+            ready[a] = cycle + dc
+        elif op == S_ST:
+            t = ready[b]
+            if t > cycle + dc:
+                cycle = t - dc
+            stack[sp + a] = regs[b]
+        elif op == S_BRF:
+            t = ready[a]
+            if t > cycle + dc:
+                cycle = t - dc
+            if regs[a] is False:
+                return cycle + dc, b
+        elif op == S_PRIM2:
+            x, y = c
+            t = ready[x]
+            if t > cycle + dc:
+                cycle = t - dc
+            t = ready[y]
+            if t > cycle + dc:
+                cycle = t - dc
+            regs[a] = b([regs[x], regs[y]], port)
+            ready[a] = cycle + dc
+        elif op == S_EXIT:
+            return cycle + dc, a
+        elif op == S_LI:
+            regs[a] = b
+            ready[a] = cycle + dc
+        elif op == S_PRIM1:
+            t = ready[c]
+            if t > cycle + dc:
+                cycle = t - dc
+            regs[a] = b([regs[c]], port)
+            ready[a] = cycle + dc
+        elif op == S_CLO_REF:
+            regs[a] = regs[c].slots[b]
+            ready[a] = cycle + dc
+        elif op == S_BRT:
+            t = ready[a]
+            if t > cycle + dc:
+                cycle = t - dc
+            if regs[a] is not False:
+                return cycle + dc, b
+        elif op == S_PRIMN:
+            for s in c:
+                t = ready[s]
+                if t > cycle + dc:
+                    cycle = t - dc
+            regs[a] = b([regs[s] for s in c], port)
+            ready[a] = cycle + dc
+        elif op == S_PRIM0:
+            regs[a] = b(list(c), port)
+            ready[a] = cycle + dc
+        elif op == S_PRIMX:
+            args = []
+            for s in c:
+                if type(s) is int:
+                    t = ready[s]
+                    if t > cycle + dc:
+                        cycle = t - dc
+                    args.append(regs[s])
+                else:
+                    args.append(s[1])
+            regs[a] = b(args, port)
+            ready[a] = cycle + dc
+        elif op == S_CLOSURE:
+            for s in c:
+                t = ready[s]
+                if t > cycle + dc:
+                    cycle = t - dc
+            regs[a] = VMClosure(b, [regs[s] for s in c])
+            ready[a] = cycle + dc
+        elif op == S_CLO_ALLOC:
+            regs[a] = VMClosure(b, [None] * c)
+            ready[a] = cycle + dc
+        elif op == S_CLO_SET:
+            t = ready[c]
+            if t > cycle + dc:
+                cycle = t - dc
+            regs[a].slots[b] = regs[c]
+        elif op == S_LD_OUT:
+            idx = sp + b
+            if idx >= len(stack):
+                stack.extend([None] * (idx - len(stack) + 256))
+            regs[a] = stack[idx]
+            ready[a] = cycle + dc
+        elif op == S_ST_OUT:
+            t = ready[b]
+            if t > cycle + dc:
+                cycle = t - dc
+            idx = sp + a
+            if idx >= len(stack):
+                stack.extend([None] * (idx - len(stack) + 256))
+            stack[idx] = regs[b]
+        elif op == S_SWAP:
+            for r in (a, b):
+                t = ready[r]
+                if t > cycle + dc:
+                    cycle = t - dc
+            regs[a], regs[b] = regs[b], regs[a]
+            ready[a] = ready[b] = cycle + dc
+        elif op == S_PERMI:
+            for r in a:
+                t = ready[r]
+                if t > cycle + dc:
+                    cycle = t - dc
+            vals = [regs[r] for r in a]
+            k = len(a)
+            for i, r in enumerate(a):
+                regs[r] = vals[(i + 1) % k]
+                ready[r] = cycle + dc
+        else:  # S_BR_BOTH
+            t = ready[a]
+            if t > cycle + dc:
+                cycle = t - dc
+            taken = regs[a] is not False if c else regs[a] is False
+            return cycle + dc, b[0] if taken else b[1]
 
 
 #: Register-writing opcodes whose destination is operand 1 — the set
@@ -744,6 +1031,28 @@ def _build_trace(
     return exits
 
 
+def _build_traces(instrs, writer, callees=None, slot_env=None):
+    """Yield ``(start, writer, exits)`` for every trace of one fused
+    stream, in build order; ``writer(start)`` makes each trace's
+    writer.  Both tiers build through here, so a step table and a trace
+    table have the same leaders and the same exits."""
+    n = len(instrs)
+    leaders = _find_leaders(instrs)
+    leader_set = set(leaders)
+    pending = list(leaders)
+    built = set()
+    while pending:
+        start = pending.pop()
+        if start in built:
+            continue
+        built.add(start)
+        wtr = writer(start)
+        exits = _build_trace(
+            start, instrs, n, leader_set, pending, wtr, callees, slot_env
+        )
+        yield start, wtr, tuple(exits)
+
+
 class TraceModule:
     """One code object's generated trace module, before instantiation:
     the source text, the trace records (``(start, fn_name, exits)``),
@@ -783,10 +1092,6 @@ def build_trace_module(
     :func:`repro.vm.callgraph.closure_slot_callees`.
     """
     instrs = predecode_code(code)
-    n = len(instrs)
-    leaders = _find_leaders(instrs)
-    leader_set = set(leaders)
-    pending = list(leaders)
     if consts is None:
         consts = _ConstPool()
     load_latency = cost_model.load_latency
@@ -795,24 +1100,20 @@ def build_trace_module(
         {} if track_callees else None
     )
 
+    def writer(start: int) -> _TraceWriter:
+        return _TraceWriter(
+            f"{name_prefix}{start}", consts, cp_index, load_latency, store_extra
+        )
+
     sources: List[str] = []
     records: List[Tuple[int, str, Any]] = []
-    built = set()
-    while pending:
-        start = pending.pop()
-        if start in built:
-            continue
-        built.add(start)
-        name = f"{name_prefix}{start}"
-        wtr = _TraceWriter(name, consts, cp_index, load_latency, store_extra)
-        exits = _build_trace(
-            start, instrs, n, leader_set, pending, wtr, callees, slot_env
-        )
+    for start, wtr, exits in _build_traces(instrs, writer, callees, slot_env):
         sources.append(wtr.source())
-        records.append((start, name, tuple(exits)))
+        records.append((start, wtr.name, exits))
 
     return TraceModule(
-        n, tuple(records), "\n\n".join(sources), consts.values, callees
+        len(instrs), tuple(records), "\n\n".join(sources), consts.values,
+        callees,
     )
 
 
@@ -854,3 +1155,25 @@ def compile_blocks(code, cost_model, cp_index: int, dump=None):
         dump(tm.source)
     module_code = compile(tm.source, f"<blocks:{code.label}>", "exec")
     return instantiate_blocks(code, module_code, tm.records, tm.const_values, tm.n)
+
+
+def step_blocks(code, cost_model, cp_index: int):
+    """One code object's step table: the interpretive tier.
+
+    Indexed by pc like :func:`compile_blocks`'s trace table, with the
+    same leaders and exits, but each entry's function is
+    :func:`run_steps` bound to the trace's recorded steps, so building
+    it needs no ``compile()``.  The table is returned, not cached on
+    the code object: only trace tables live on ``code.fast_blocks``.
+    """
+    instrs = predecode_code(code)
+    load_latency = cost_model.load_latency
+    store_extra = cost_model.store_cost - 1
+
+    def writer(start: int) -> _StepWriter:
+        return _StepWriter(cp_index, load_latency, store_extra)
+
+    blocks: List[Optional[Tuple[Any, Any]]] = [None] * len(instrs)
+    for start, wtr, exits in _build_traces(instrs, writer):
+        blocks[start] = (partial(run_steps, tuple(wtr.steps)), exits)
+    return blocks

@@ -16,13 +16,18 @@ Two dispatch loops execute the same semantics:
   the fast path's speedup is measured against.
 * ``_run_fast`` — the **fast loop** (``CompilerConfig.vm_fast``, the
   default): the block trampoline :func:`repro.vm.aotrt.run_blocks`,
-  shared with AOT-emitted modules, over generated straight-line Python
-  functions, one per extended basic block, that ``repro.vm.blockcompile``
-  compiles from the pre-decoded, superinstruction-fused stream
-  (``repro.vm.predecode``) on each code object's first entry.
-  Counters, cycles, values, output and profiles are bit-identical to
-  the legacy loop (``tests/vm/test_predecode_equiv`` and the fuzz
-  oracle's ``vm-fast`` invariant enforce that); ``run_blocks``
+  shared with AOT-emitted modules, over one block per extended basic
+  block of the pre-decoded, superinstruction-fused stream
+  (``repro.vm.predecode``).  It is tiered: a code object runs in the
+  step tier (``repro.vm.blockcompile.step_blocks``, recorded traces
+  that one generic interpreter runs) until the run's transfers into it
+  reach :data:`TIER_THRESHOLD`, and only then is trace-compiled into
+  generated straight-line Python functions
+  (``repro.vm.blockcompile.compile_blocks``).  Counters, cycles,
+  values, output and profiles are bit-identical to the legacy loop in
+  either tier and across any switch between them
+  (``tests/vm/test_predecode_equiv``, ``tests/vm/test_tiers`` and the
+  fuzz oracle's ``vm-fast`` invariant enforce that); ``run_blocks``
   documents its error-path relaxations.
 
 Both loops release oversized stacks: a deep-recursion phase can grow
@@ -39,7 +44,7 @@ paper's [11]), needed by the ``ctak`` benchmark.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.backend.codegen import CompiledProgram
 from repro.runtime.primitives import PRIMITIVES
@@ -59,10 +64,27 @@ from repro.vm.aotrt import (  # noqa: F401 - re-exported public API
     name_procedure,
     run_blocks,
 )
-from repro.vm.blockcompile import compile_blocks
+from repro.vm.blockcompile import compile_blocks, step_blocks
 from repro.vm.callgraph import ActivationClassifier
 from repro.vm.counters import Counters
 from repro.vm.predecode import KIND_NAMES
+
+#: Transfers into a code object (calls, tail calls, returns and
+#: continuation resumes) that the fast loop runs in the step tier
+#: before it trace-compiles the code object, at the transfer that
+#: reaches this count.  EXPERIMENTS.md has the sweep that chose it.
+TIER_THRESHOLD = 256
+
+
+def trace_all(compiled: CompiledProgram) -> None:
+    """Trace-compile every code object of *compiled* that has no trace
+    table yet, so the fast loop runs all of it traced from the first
+    entry (what hot-exec set-up and warm-start timing do)."""
+    cm = compiled.config.cost_model
+    cp = compiled.regfile.cp.index
+    for code in compiled.codes:
+        if code.fast_blocks is None:
+            compile_blocks(code, cm, cp)
 
 
 class Machine:
@@ -102,6 +124,10 @@ class Machine:
         # test and `repro bench` reporting.
         self.stack_capacity = 0
         self.stack_shrinks = 0
+        # Fast-loop tiers: code objects this run only interpreted, and
+        # code objects it trace-compiled.
+        self.codes_interpreted = 0
+        self.codes_traced = 0
 
     # ------------------------------------------------------------------
 
@@ -500,31 +526,52 @@ class Machine:
     # ------------------------------------------------------------------
 
     def _run_fast(self) -> Any:
-        """The fast loop: :func:`repro.vm.aotrt.run_blocks` over trace
-        tables that :func:`compile_blocks` builds on first entry to each
-        code object (see the blockcompile module docstring for what
-        makes them fast)."""
+        """The fast loop: :func:`repro.vm.aotrt.run_blocks` over each
+        code object's block table.  A code object that has no trace
+        table yet runs its step table (:func:`step_blocks`) until this
+        run's transfers into it reach :data:`TIER_THRESHOLD`; the loader
+        then trace-compiles it (:func:`compile_blocks`, which caches the
+        table on the code object).  Both tables have the same leaders
+        and exits, so a code object changes tier at any transfer without
+        any observable difference."""
         regfile = self.regfile
         cm = self.config.cost_model
         cp = regfile.cp.index
-        self.result, self.stack_capacity, self.stack_shrinks = run_blocks(
-            self.compiled.entry,
-            lambda code: compile_blocks(code, cm, cp),
-            nregs=len(regfile),
-            a0=regfile.arg_regs[0].index if regfile.num_arg_regs else None,
-            ret=regfile.ret.index,
-            cp=cp,
-            rv=regfile.rv.index,
-            kind_names=KIND_NAMES,
-            call_overhead=cm.call_overhead,
-            predict=self.config.branch_prediction is not None,
-            penalty=cm.branch_mispredict_penalty,
-            counters=self.counters,
-            classifier=self.classifier,
-            port=self.port,
-            profiler=self.profiler,
-            max_instructions=self.max_instructions,
-        )
+        transfers: Dict[Any, int] = {}
+        step_tables: Dict[Any, Any] = {}
+
+        def load(code):
+            n = transfers.get(code, 0) + 1
+            transfers[code] = n
+            if n >= TIER_THRESHOLD:
+                self.codes_traced += 1
+                return compile_blocks(code, cm, cp)
+            table = step_tables.get(code)
+            if table is None:
+                table = step_tables[code] = step_blocks(code, cm, cp)
+            return table
+
+        try:
+            self.result, self.stack_capacity, self.stack_shrinks = run_blocks(
+                self.compiled.entry,
+                load,
+                nregs=len(regfile),
+                a0=regfile.arg_regs[0].index if regfile.num_arg_regs else None,
+                ret=regfile.ret.index,
+                cp=cp,
+                rv=regfile.rv.index,
+                kind_names=KIND_NAMES,
+                call_overhead=cm.call_overhead,
+                predict=self.config.branch_prediction is not None,
+                penalty=cm.branch_mispredict_penalty,
+                counters=self.counters,
+                classifier=self.classifier,
+                port=self.port,
+                profiler=self.profiler,
+                max_instructions=self.max_instructions,
+            )
+        finally:
+            self.codes_interpreted = len(transfers) - self.codes_traced
         return self.result
 
     @property

@@ -196,15 +196,3 @@ def predecode_code(code, fuse: bool = True) -> Tuple[Tuple[Any, ...], ...]:
         code.fast_instructions = decoded
     return decoded
 
-
-def predecode_program(compiled) -> int:
-    """Eagerly pre-decode every code object of a compiled program.
-
-    The machine decodes lazily (most programs execute a fraction of
-    their code objects); this exists for benchmarks that want decode
-    cost out of the timed region.  Returns the number of code objects
-    decoded.
-    """
-    for code in compiled.codes:
-        predecode_code(code)
-    return len(compiled.codes)

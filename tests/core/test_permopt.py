@@ -13,6 +13,7 @@ from repro.config import CompilerConfig
 from repro.fuzz.genprog import generate_program
 from repro.pipeline import compile_source, run_compiled, run_source
 from repro.sexp.writer import write_datum
+from repro.vm.machine import trace_all
 
 SWAP_SRC = (
     "(define (f a b) (- a b))"
@@ -159,7 +160,8 @@ class TestDifferentialEquivalence:
     def test_fuzz_programs_agree_across_strategies_and_loops(self):
         """permopt must be observably identical to greedy/optimal on
         value and output for every config point, and bit-identical to
-        itself across the two VM loops."""
+        itself across the legacy loop and the fast loop, tiered and
+        all-traced."""
         for index in range(12):
             program = generate_program(9001, index)
             for kw in self.CONFIGS:
@@ -168,10 +170,13 @@ class TestDifferentialEquivalence:
                     cfg = CompilerConfig(shuffle_strategy=strategy, **kw)
                     compiled = compile_source(program.source, cfg)
                     slow = run_compiled(compiled, vm_fast=False)
-                    fast = run_compiled(compiled, vm_fast=True)
-                    assert (
-                        slow.counters.as_dict() == fast.counters.as_dict()
-                    ), (index, kw, strategy)
+                    tiered = run_compiled(compiled, vm_fast=True)
+                    trace_all(compiled)
+                    traced = run_compiled(compiled, vm_fast=True)
+                    for fast in (tiered, traced):
+                        assert (
+                            slow.counters.as_dict() == fast.counters.as_dict()
+                        ), (index, kw, strategy)
                     runs[strategy] = (
                         write_datum(slow.value),
                         slow.output,

@@ -58,6 +58,11 @@ def test_run_trace_dir_then_spans_export(tak_file, tmp_path, capsys):
     counters = execute["args"]
     assert sum(r["args"]["cycles"] for r in rows) == counters["cycles"]
     assert sum(r["args"]["instructions"] for r in rows) == counters["instructions"]
+    # Every procedure that ran was either only interpreted or
+    # trace-compiled during the run; tak is hot, the prelude is not.
+    assert counters["codes_interpreted"] + counters["codes_traced"] == len(rows)
+    assert counters["codes_traced"] >= 1
+    assert counters["codes_interpreted"] >= 1
 
 
 def test_spans_show_renders_passes_and_profile(tak_file, tmp_path, capsys):

@@ -421,6 +421,57 @@ def test_tracing_reconstructs_full_request_tree(tmp_path):
     _assert_nested(records)
 
 
+#: Slack for the way back of a worker's result (queue feeder thread,
+#: pipe, the bridge's poll): the run is placed to end at receipt, so its
+#: reconstructed start trails the worker's by that much.
+RESULT_TRANSIT_NS = 25_000_000
+
+
+def test_tracing_times_wait_queue_and_run_under_a_pipelined_burst(tmp_path):
+    """A burst sent in one write is admitted back to back, before any
+    responder task runs, and answered one worker run at a time.  Each
+    ``wait`` still starts where its ``dedup`` ends, and ``queue``/``run``
+    are placed from when the result was received, so the worker's
+    ``compile`` begins inside ``run`` and not before ``queue`` ends."""
+    reqtracer = _tracer(tmp_path)
+    store_dir = str(tmp_path / "spans")
+    burst = 16
+    with BackgroundServer(jobs=1, disk_cache=False, reqtracer=reqtracer) as bg:
+        client = _Client(bg.address)
+        client.sock.sendall("".join(
+            json.dumps({"id": i, "op": "run", "source": f"(+ {i} 1)"}) + "\n"
+            for i in range(burst)
+        ).encode())
+        responses = [client.recv_response() for _ in range(burst)]
+        traces = [
+            _wait_for_trace(store_dir, r["traceparent"].split("-")[0])
+            for r in responses
+        ]
+        client.close()
+    assert all(r["ok"] for r in responses)
+    for records in traces:
+        by_name = {r["name"]: r for r in records}
+        dedup, wait, queue, run, compile_ = (
+            by_name[name]
+            for name in ("dedup", "wait", "queue", "run", "compile")
+        )
+        # The clock rule may only move wait's start back to cover what
+        # happened under it.
+        below, frontier = [], [wait["span"]]
+        while frontier:
+            parent = frontier.pop()
+            for record in records:
+                if record["parent"] == parent:
+                    below.append(record["start_ns"])
+                    frontier.append(record["span"])
+        dedup_end = dedup["start_ns"] + dedup["dur_ns"]
+        assert wait["start_ns"] == min([dedup_end] + below)
+        run_end = run["start_ns"] + run["dur_ns"]
+        assert run["start_ns"] <= compile_["start_ns"] <= run_end
+        queue_end = queue["start_ns"] + queue["dur_ns"]
+        assert queue_end <= compile_["start_ns"] + RESULT_TRANSIT_NS
+
+
 def test_tracing_dedup_follower_has_no_worker_spans(tmp_path):
     reqtracer = _tracer(tmp_path)
     store_dir = str(tmp_path / "spans")

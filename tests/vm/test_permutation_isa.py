@@ -11,7 +11,7 @@ import pytest
 from repro.backend.isa import ISA_SPEC, OPCODES, PERMI_MAX, format_instruction
 from repro.config import CompilerConfig, CostModel
 from repro.vm.blockcompile import ACC_SWAP
-from repro.vm.machine import Machine
+from repro.vm.machine import Machine, trace_all
 from repro.vm.predecode import OP_PERMI, OP_SWAP, predecode_code
 
 from tests.vm.test_isa_level import RET, CP, RV, S0, S1, build
@@ -20,13 +20,17 @@ S2 = 5
 
 
 def run_both(instructions, **kw):
-    """Run hand-written instructions under the legacy and fast loops and
-    assert identical value/counters before returning the legacy pair."""
+    """Run hand-written instructions under the legacy loop and the fast
+    loop, tiered and all-traced, and assert identical value/counters
+    before returning the legacy pair."""
     legacy = Machine(build(instructions, **kw), vm_fast=False)
-    fast = Machine(build(instructions, **kw), vm_fast=True)
-    lv, fv = legacy.run(), fast.run()
-    assert lv == fv
-    assert legacy.counters.as_dict() == fast.counters.as_dict()
+    lv = legacy.run()
+    traced = build(instructions, **kw)
+    trace_all(traced)
+    for compiled in (build(instructions, **kw), traced):
+        fast = Machine(compiled, vm_fast=True)
+        assert fast.run() == lv
+        assert legacy.counters.as_dict() == fast.counters.as_dict()
     return lv, legacy
 
 
@@ -206,6 +210,9 @@ class TestBlockcompileFacts:
             cfg = CompilerConfig(shuffle_strategy=strategy)
             compiled = compile_source(src, cfg)
             slow = run_compiled(compiled, vm_fast=False)
-            fast = run_compiled(compiled, vm_fast=True)
-            assert slow.value == fast.value == 7
-            assert slow.counters.as_dict() == fast.counters.as_dict()
+            tiered = run_compiled(compiled, vm_fast=True)
+            trace_all(compiled)
+            traced = run_compiled(compiled, vm_fast=True)
+            for fast in (tiered, traced):
+                assert slow.value == fast.value == 7
+                assert slow.counters.as_dict() == fast.counters.as_dict()

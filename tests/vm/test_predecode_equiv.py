@@ -5,7 +5,9 @@ The whole design of the fast path (``repro.vm.predecode`` +
 observable.  This suite runs every non-heavy benchmark and a batch of
 generated fuzz programs under both loops from the same compiled
 program and asserts bit-identical values, output, counters, and
-per-procedure profiles.
+per-procedure profiles.  The fast side runs twice: tiered (cold code
+objects from step tables) and all-traced; ``test_tiers.py`` covers
+the tiers in depth.
 
 The single documented relaxation is the instruction budget: the fast
 loop checks it once per trace, so a budget-exceeded run may raise a
@@ -24,7 +26,7 @@ from repro.fuzz.genprog import generate_program
 from repro.pipeline import compile_source, run_compiled
 from repro.runtime.values import SchemeError
 from repro.sexp.writer import write_datum
-from repro.vm.machine import VMError
+from repro.vm.machine import VMError, trace_all
 
 BENCH_NAMES = sorted(n for n, b in BENCHMARKS.items() if not b.heavy)
 
@@ -33,17 +35,28 @@ FUZZ_COUNT = 50
 FUZZ_BUDGET = 2_000_000
 
 
+def fast_modes(compiled):
+    """Yield the fast loop's two ends on one compiled program, each as a
+    ``run(**kw)`` callable: ``tiered`` from no trace tables (cold code
+    objects run from step tables), then ``all-traced`` (every code
+    object trace-compiled first, as hot-exec set-up does)."""
+    yield "tiered", lambda **kw: run_compiled(compiled, vm_fast=True, **kw)
+    trace_all(compiled)
+    yield "all-traced", lambda **kw: run_compiled(compiled, vm_fast=True, **kw)
+
+
 def assert_equivalent(compiled, profile=True):
     slow = run_compiled(compiled, profile=profile, vm_fast=False)
-    fast = run_compiled(compiled, profile=profile, vm_fast=True)
-    assert write_datum(slow.value) == write_datum(fast.value)
-    assert slow.output == fast.output
-    assert slow.counters.as_dict() == fast.counters.as_dict()
-    if profile:
-        assert slow.profile.as_rows() == fast.profile.as_rows()
-    assert slow.machine.stack_capacity == fast.machine.stack_capacity
-    assert slow.machine.stack_shrinks == fast.machine.stack_shrinks
-    assert slow.classifier.counts == fast.classifier.counts
+    for mode, run in fast_modes(compiled):
+        fast = run(profile=profile)
+        assert write_datum(slow.value) == write_datum(fast.value), mode
+        assert slow.output == fast.output, mode
+        assert slow.counters.as_dict() == fast.counters.as_dict(), mode
+        if profile:
+            assert slow.profile.as_rows() == fast.profile.as_rows(), mode
+        assert slow.machine.stack_capacity == fast.machine.stack_capacity, mode
+        assert slow.machine.stack_shrinks == fast.machine.stack_shrinks, mode
+        assert slow.classifier.counts == fast.classifier.counts, mode
 
 
 @pytest.mark.parametrize("name", BENCH_NAMES)
@@ -97,26 +110,26 @@ def test_fuzz_program_equivalence(index):
     except (CompilerError, RecursionError):  # pragma: no cover
         pytest.skip("generator produced an uncompilable program")
 
-    def run(vm_fast):
+    def outcome(run):
         try:
-            result = run_compiled(
-                compiled, max_instructions=FUZZ_BUDGET, vm_fast=vm_fast
-            )
-            return ("ok", result)
+            return ("ok", run(max_instructions=FUZZ_BUDGET))
         except VMError as exc:
             return ("vmerror", str(exc))
         except SchemeError as exc:
             return ("schemeerror", str(exc))
 
-    slow_kind, slow = run(False)
-    fast_kind, fast = run(True)
-    assert slow_kind == fast_kind
-    if slow_kind == "ok":
-        assert write_datum(slow.value) == write_datum(fast.value)
-        assert slow.output == fast.output
-        assert slow.counters.as_dict() == fast.counters.as_dict()
-    elif slow_kind == "schemeerror":
-        assert slow == fast
-    # vmerror: the budget relaxation — agreement on the error class is
-    # the guarantee; the raise point (and thus partial effects) may
-    # differ by up to one trace.
+    slow_kind, slow = outcome(
+        lambda **kw: run_compiled(compiled, vm_fast=False, **kw)
+    )
+    for mode, run in fast_modes(compiled):
+        fast_kind, fast = outcome(run)
+        assert slow_kind == fast_kind, mode
+        if slow_kind == "ok":
+            assert write_datum(slow.value) == write_datum(fast.value), mode
+            assert slow.output == fast.output, mode
+            assert slow.counters.as_dict() == fast.counters.as_dict(), mode
+        elif slow_kind == "schemeerror":
+            assert slow == fast, mode
+        # vmerror: the budget relaxation — agreement on the error class
+        # is the guarantee; the raise point (and thus partial effects)
+        # may differ by up to one trace.
