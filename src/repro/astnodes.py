@@ -277,8 +277,8 @@ class CodeObject:
                             the fast loop finds the code hot (until
                             then it runs from a step table that is not
                             kept here), or built up front by
-                            ``repro.vm.machine.trace_all``, artifact
-                            loads and AOT modules
+                            ``repro.vm.machine.trace_all`` and AOT
+                            modules
     """
 
     _counter = itertools.count()

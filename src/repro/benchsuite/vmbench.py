@@ -129,17 +129,15 @@ def collect_warm_start(
     config: Optional[CompilerConfig] = None,
     repeats: int = 3,
 ) -> Dict[str, Any]:
-    """Measure time-to-ready-to-execute under four start modes.
+    """Measure time-to-ready-to-execute under three start modes.
 
     For each benchmark, best-of-*repeats* seconds until the program
     could begin executing on the fast path (predecoded streams and
     trace tables built), starting from:
 
     * ``cold_s`` — nothing: full compile, predecode, blockcompile;
-    * ``isa_ready_s`` — a warm ISA disk cache (objects tier): unpickle
-      the compiled program, then predecode + blockcompile;
-    * ``artifact_ready_s`` — a warm executable-artifact tier: one load
-      installs the decoded streams and trace tables too;
+    * ``isa_ready_s`` — a warm disk cache: unpickle the compiled
+      program, then predecode + blockcompile;
     * ``aot_import_s`` — importing the AOT-emitted module (after the
       first repeat this includes Python's own bytecode cache, the
       realistic steady state).
@@ -176,7 +174,6 @@ def collect_warm_start(
     totals = {
         "cold_s": 0.0,
         "isa_ready_s": 0.0,
-        "artifact_ready_s": 0.0,
         "aot_import_s": 0.0,
     }
     serial = itertools.count()
@@ -191,22 +188,10 @@ def collect_warm_start(
             # process-local, so every timed load comes off the disk tier
             # exactly as a new worker's first request would.
             isa_root = os.path.join(tmp, f"isa{seq}")
-            CompileCache(root=isa_root, artifacts=False).compile(source, config)
+            CompileCache(root=isa_root).compile(source, config)
 
             def isa_ready() -> None:
-                compiled, hit = CompileCache(
-                    root=isa_root, artifacts=False
-                ).compile(source, config)
-                assert hit
-                trace_all(compiled)
-
-            art_root = os.path.join(tmp, f"art{seq}")
-            CompileCache(root=art_root).compile(source, config)
-
-            def artifact_ready() -> None:
-                compiled, hit = CompileCache(root=art_root).compile(
-                    source, config
-                )
+                compiled, hit = CompileCache(root=isa_root).compile(source, config)
                 assert hit
                 trace_all(compiled)
 
@@ -224,7 +209,6 @@ def collect_warm_start(
             entry = {
                 "cold_s": round(best(cold), 4),
                 "isa_ready_s": round(best(isa_ready), 4),
-                "artifact_ready_s": round(best(artifact_ready), 4),
                 "aot_import_s": round(best(aot_import), 4),
             }
             doc["benchmarks"][name] = entry

@@ -491,7 +491,6 @@ def _bench_baseline(args: argparse.Namespace) -> int:
         print(
             f"; warm start (corpus total): cold {totals['cold_s']}s, "
             f"isa {totals['isa_ready_s']}s, "
-            f"artifact {totals['artifact_ready_s']}s, "
             f"aot import {totals['aot_import_s']}s",
             file=sys.stderr,
         )
@@ -516,7 +515,7 @@ def _bench_baseline(args: argparse.Namespace) -> int:
 
 def _bench_warm_start(args: argparse.Namespace) -> int:
     """``bench --warm-start`` without a baseline file: measure and print
-    the cold / ISA-cache / artifact-cache / AOT-import table."""
+    the cold / ISA-cache / AOT-import table."""
     from repro.benchsuite import vmbench
 
     doc = vmbench.collect_warm_start(
@@ -527,10 +526,7 @@ def _bench_warm_start(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(doc, indent=2))
         return 0
-    header = (
-        f"{'benchmark':16s} {'cold':>9s} {'isa':>9s} "
-        f"{'artifact':>9s} {'aot-import':>11s}"
-    )
+    header = f"{'benchmark':16s} {'cold':>9s} {'isa':>9s} {'aot-import':>11s}"
     print(header)
     print("-" * len(header))
     rows = list(doc["benchmarks"].items()) + [("total", doc["totals"])]
@@ -538,7 +534,6 @@ def _bench_warm_start(args: argparse.Namespace) -> int:
         print(
             f"{name:16s} {entry['cold_s'] * 1e3:>7.1f}ms "
             f"{entry['isa_ready_s'] * 1e3:>7.1f}ms "
-            f"{entry['artifact_ready_s'] * 1e3:>7.1f}ms "
             f"{entry['aot_import_s'] * 1e3:>9.1f}ms"
         )
     return 0
@@ -759,7 +754,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         cache=not args.no_cache,
         cache_dir=args.cache_dir,
         disk_cache=not args.memory_cache,
-        artifacts=not args.no_artifacts,
         flight_dir=args.flight_dir,
         reqtracer=reqtracer,
     )
@@ -826,7 +820,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cache=not args.no_cache,
         cache_dir=args.cache_dir,
         disk_cache=not args.memory_cache,
-        artifacts=not args.no_artifacts,
         serve_config=serve_config,
         metrics_out=_metrics_out_path(args),
         flight_dir=args.flight_dir,
@@ -1029,14 +1022,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
                 v = doc["verify"]
                 print(
                     f"verify   {v['scanned']} scanned, {v['ok']} ok, "
-                    f"{v['corrupt']} corrupt, {v['stale']} stale, "
-                    f"{v['removed']} removed"
+                    f"{v['corrupt']} corrupt, {v['removed']} removed"
                 )
-                for tier, t in v["tiers"].items():
-                    print(
-                        f"  {tier:10s} {t['scanned']} scanned, {t['ok']} ok, "
-                        f"{t['corrupt']} corrupt, {t['stale']} stale"
-                    )
         return 1 if args.verify and doc["verify"]["corrupt"] else 0
     if args.action == "gc":
         if args.max_entries is None and args.max_bytes is None:
@@ -1296,7 +1283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--warm-start",
         action="store_true",
-        help="measure cold vs ISA-cache vs artifact-cache vs AOT-import "
+        help="measure cold vs ISA-cache vs AOT-import "
         "startup latency (alone: print the table; with --baseline-out: "
         "record a warm_start section)",
     )
@@ -1466,11 +1453,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache in memory only; do not touch the disk store",
     )
     p_batch.add_argument(
-        "--no-artifacts",
-        action="store_true",
-        help="disable the executable-artifact cache tier",
-    )
-    p_batch.add_argument(
         "--timeout",
         type=float,
         default=None,
@@ -1552,11 +1534,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--memory-cache",
         action="store_true",
         help="cache in memory only; do not touch the disk store",
-    )
-    p_serve.add_argument(
-        "--no-artifacts",
-        action="store_true",
-        help="disable the executable-artifact cache tier",
     )
     _add_observe_flags(p_serve)
     p_serve.set_defaults(fn=cmd_serve)

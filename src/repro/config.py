@@ -112,14 +112,6 @@ class CompilerConfig:
         Enable the §6 future-work pass: known procedures' free
         variables become extra (register) arguments, bounded by
         ``lambda_lift_max_params``.
-    artifact_cache:
-        Let the compile cache store/load post-predecode,
-        post-blockcompile executable artifacts as a second tier
-        (``repro.vm.artifact``): warm processes skip straight to
-        execution.  Purely a serving-layer accelerator — results are
-        bit-identical — but it participates in the fingerprint so
-        artifact-tier entries are never shared with configs that
-        disable it.  Like ``vm_fast``, absent from :meth:`summary`.
     aot_direct_calls:
         Let the AOT emitter (``repro.vm.aotemit``) collapse call sites
         whose callee ``vm/callgraph.py`` proves statically into direct
@@ -140,7 +132,6 @@ class CompilerConfig:
     save_convention: str = "caller"
     branch_prediction: Optional[str] = None
     vm_fast: bool = True
-    artifact_cache: bool = True
     aot_direct_calls: bool = True
     cost_model: CostModel = field(default_factory=CostModel)
 

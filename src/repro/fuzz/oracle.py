@@ -14,7 +14,9 @@ equality, two invariants from the observe layer are cross-checked:
   ``late`` counterpart, the bound is asserted on the measured counters;
 * **vm-fast** — the fast loop and the legacy dispatch loop must agree
   exactly (value, output, counters) on the same compiled program, with
-  the fast loop run tiered and then all-traced; checked on the first
+  the fast loop run tiered, then tiered on the program reloaded through
+  the compile cache's serializer (what a worker's disk hit runs), then
+  all-traced; checked on the first
   few configurations of each program to bound cost.  Budget-exceeded
   runs only assert agreement on the error class: the fast loop checks
   its budget once per trace, so the raise point may trail the legacy
@@ -279,18 +281,22 @@ def check_program(
 def _vm_fast_problem(compiled, max_instructions: int) -> Optional[Tuple[str, str]]:
     """The fast/legacy loop agreement invariant for one compiled
     program: identical value, output, and counters, or the same error,
-    from the fast loop at both ends of its tiers — tiered (cold code
-    objects run from step tables) and all-traced (every code object
-    trace-compiled first).
+    from the fast loop tiered (cold code objects run from step tables),
+    reloaded (the program after a round trip through the compile
+    cache's serializer, run tiered, as a worker runs a disk hit) and
+    all-traced (every code object trace-compiled first).
 
     Budget errors (``VMError``) compare by class only — the fast loop's
     once-per-trace budget check may raise a few instructions after the
     legacy loop's exact check."""
+    # Imported here: the serve package is heavy, and importing
+    # repro.fuzz (for its generator) must not pull it in.
+    from repro.serve.cache import deserialize_compiled, serialize_compiled
 
-    def attempt(vm_fast: bool):
+    def attempt(program, vm_fast: bool = True):
         try:
             run = run_compiled(
-                compiled, max_instructions=max_instructions, vm_fast=vm_fast
+                program, max_instructions=max_instructions, vm_fast=vm_fast
             )
             return ("ok", run)
         except VMError:
@@ -300,11 +306,14 @@ def _vm_fast_problem(compiled, max_instructions: int) -> Optional[Tuple[str, str
         except RecursionError:
             return ("recursion", None)
 
-    slow = attempt(False)
-    problem = _fast_disagreement(slow, attempt(True), "tiered")
+    slow = attempt(compiled, vm_fast=False)
+    problem = _fast_disagreement(slow, attempt(compiled), "tiered")
+    if problem is None:
+        reloaded = deserialize_compiled(serialize_compiled(compiled))
+        problem = _fast_disagreement(slow, attempt(reloaded), "reloaded")
     if problem is None:
         trace_all(compiled)
-        problem = _fast_disagreement(slow, attempt(True), "all-traced")
+        problem = _fast_disagreement(slow, attempt(compiled), "all-traced")
     return problem
 
 

@@ -25,7 +25,7 @@ from repro.observe.metrics import (
 CATALOG: Tuple[Tuple[str, str, Tuple[str, ...], Optional[Sequence[float]], str], ...] = (
     # -- compile cache (repro.serve.cache) -----------------------------
     ("repro_cache_hits", "counter", ("tier",),
-     None, "Compile-cache hits by tier (memory/artifact/disk)."),
+     None, "Compile-cache hits by tier (memory/disk)."),
     ("repro_cache_misses", "counter", (),
      None, "Compile-cache misses (entry absent)."),
     ("repro_cache_corruptions", "counter", (),
@@ -40,20 +40,7 @@ CATALOG: Tuple[Tuple[str, str, Tuple[str, ...], Optional[Sequence[float]], str],
      BYTES_BUCKETS, "Serialized size of cache entries written."),
     ("repro_compile_seconds", "histogram", (),
      LATENCY_BUCKETS, "Wall-clock seconds per uncached compile."),
-    # -- executable-artifact tier (repro.vm.artifact) ------------------
-    ("repro_artifact_hits", "counter", (),
-     None, "Executable-artifact tier hits (predecode + blockcompile skipped)."),
-    ("repro_artifact_misses", "counter", (),
-     None, "Executable-artifact tier misses (absent, corrupt, or stale)."),
-    ("repro_artifact_stores", "counter", (),
-     None, "Executable artifacts built and written."),
-    ("repro_artifact_corruptions", "counter", (),
-     None, "Artifact entries that failed validation (discarded, served as "
-           "misses)."),
-    ("repro_artifact_bytes_written", "counter", (),
-     None, "Bytes written to the artifact tier."),
-    ("repro_artifact_build_seconds", "histogram", (),
-     LATENCY_BUCKETS, "Seconds to build + serialize one executable artifact."),
+    # -- AOT emitter (repro.vm.aotemit) --------------------------------
     ("repro_aot_emit_seconds", "histogram", (),
      LATENCY_BUCKETS, "Seconds to emit one AOT Python module "
                       "(repro aot build)."),

@@ -19,20 +19,13 @@ or concurrent writer can never leave a half-written entry under a live
 key, and every entry carries a checksum so a corrupted or truncated
 file is detected and treated as a **miss**, never an error.
 
-**The artifact tier.**  Alongside the ISA objects the cache keeps a
-second content-addressed tier, ``artifacts/<k[:2]>/<k>.bin``
-(:mod:`repro.vm.artifact`): the same program with its pre-decoded
-instruction streams and marshal-serialized trace modules attached, so
-a warm process skips predecode + blockcompile entirely.  Same keys,
-same framing discipline, stricter validity (artifacts additionally
-stamp the artifact format, the Python bytecode magic, and the config
-fingerprint — any skew is a miss).  :meth:`CompileCache.compile`
-probes memory → artifact → ISA; an ISA hit with a missing or stale
-artifact re-promotes (rebuilds and rewrites the artifact), so the two
-tiers converge on any shared disk root.  Artifact
-handling is gated by ``CompilerConfig.artifact_cache`` and the
-cache's ``artifacts`` flag, and only applies to ``vm_fast`` configs
-(the tier stores fast-path state).  See ``docs/aot.md``.
+:meth:`CompileCache.compile` looks up memory → disk → compile, and a
+miss writes one entry: the compiled program (the ISA), never derived
+VM state.  A program loaded from disk rebuilds its decoded streams as
+it runs and trace-compiles only the code objects that turn hot,
+exactly as a fresh compile does.  A caller that already holds the key
+(the daemon computes it for single-flight dedup) passes it in, so the
+source is read once per request.
 
 The on-disk root defaults to ``~/.cache/repro`` (honouring
 ``REPRO_CACHE_DIR`` and ``XDG_CACHE_HOME``), deliberately outside the
@@ -44,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import shutil
 import tempfile
 import time
 from collections import OrderedDict
@@ -58,13 +52,6 @@ from repro.observe.metrics import get_registry
 from repro.pipeline import compile_source
 from repro.sexp.reader import read_all
 from repro.sexp.writer import write_datum
-from repro.vm.artifact import (
-    ArtifactCorrupt,
-    ArtifactError,
-    ArtifactStale,
-    build_artifact,
-    load_artifact,
-)
 
 #: On-disk entry header; bump when the payload layout changes.
 MAGIC = b"RPC1"
@@ -179,18 +166,9 @@ class CacheStats:
     evictions: int = 0
     corruptions: int = 0
     bytes_written: int = 0
-    artifact_hits: int = 0
-    artifact_misses: int = 0
-    artifact_stores: int = 0
-    artifact_corruptions: int = 0
-    artifact_bytes_written: int = 0
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-#: The two on-disk tiers (also the subdirectory names under the root).
-TIERS = ("objects", "artifacts")
 
 
 @dataclass
@@ -201,7 +179,6 @@ class CacheEntry:
     path: str
     size: int
     mtime: float = field(repr=False, default=0.0)
-    tier: str = "objects"
 
 
 class CompileCache:
@@ -220,7 +197,6 @@ class CompileCache:
         root: Optional[str] = None,
         memory_entries: int = 256,
         disk: bool = True,
-        artifacts: bool = True,
         registry=None,
     ) -> None:
         self.disk = disk
@@ -228,10 +204,6 @@ class CompileCache:
             default_cache_dir() if disk else None
         )
         self.memory_entries = memory_entries
-        #: Whether compile() may read/write the executable-artifact
-        #: tier (still subject to the per-config ``artifact_cache``
-        #: knob; the tier needs a disk root).
-        self.artifacts = artifacts and disk
         self.stats = CacheStats()
         self.registry = registry if registry is not None else get_registry()
         self._memory: "OrderedDict[str, CompiledProgram]" = OrderedDict()
@@ -299,81 +271,6 @@ class CompileCache:
             declare(self.registry, "repro_cache_bytes_written").inc(len(data))
             declare(self.registry, "repro_cache_entry_bytes").observe(len(data))
 
-    # -- the artifact tier ----------------------------------------------
-
-    def get_artifact(
-        self, key: str, fingerprint: Optional[str] = None
-    ) -> Optional[CompiledProgram]:
-        """Load the executable artifact for *key*, or None.  Corrupt
-        entries are deleted and counted; stale ones (format/Python/
-        version/fingerprint skew) are left for re-promotion to
-        overwrite.  Either way: a miss, never an error."""
-        if not self.artifacts:
-            return None
-        path = self._artifact_path(key)
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except OSError:
-            self._count_artifact_miss()
-            return None
-        try:
-            compiled = load_artifact(data, expected_fingerprint=fingerprint)
-        except ArtifactCorrupt:
-            self.stats.artifact_corruptions += 1
-            if self.registry.enabled:
-                declare(self.registry, "repro_artifact_corruptions").inc()
-            self._count_artifact_miss()
-            self._discard(path)
-            return None
-        except ArtifactStale:
-            self._count_artifact_miss()
-            return None
-        try:
-            os.utime(path)
-        except OSError:  # pragma: no cover - concurrent GC
-            pass
-        self.stats.artifact_hits += 1
-        if self.registry.enabled:
-            declare(self.registry, "repro_artifact_hits").inc()
-            declare(self.registry, "repro_cache_hits").labels(
-                tier="artifact"
-            ).inc()
-        return compiled
-
-    def put_artifact(self, key: str, compiled: CompiledProgram) -> bool:
-        """Build and store the executable artifact for *key*.  Build or
-        write failures are swallowed (the artifact tier is an
-        accelerator, never a correctness dependency); returns whether
-        the artifact was written."""
-        if not self.artifacts:
-            return False
-        started = time.perf_counter()
-        try:
-            data = build_artifact(compiled)
-            self._write(self._artifact_path(key), data)
-        except (ArtifactError, OSError, ValueError):
-            return False
-        self.stats.artifact_stores += 1
-        self.stats.artifact_bytes_written += len(data)
-        if self.registry.enabled:
-            declare(self.registry, "repro_artifact_stores").inc()
-            declare(self.registry, "repro_artifact_bytes_written").inc(len(data))
-            declare(self.registry, "repro_artifact_build_seconds").observe(
-                time.perf_counter() - started
-            )
-        return True
-
-    def _count_artifact_miss(self) -> None:
-        self.stats.artifact_misses += 1
-        if self.registry.enabled:
-            declare(self.registry, "repro_artifact_misses").inc()
-
-    def _artifact_enabled(self, config: CompilerConfig) -> bool:
-        # The tier stores fast-path state; legacy-loop configs have
-        # nothing to gain and nothing to store.
-        return self.artifacts and config.artifact_cache and config.vm_fast
-
     def _write(self, path: str, data: bytes) -> None:
         parent = os.path.dirname(path)
         os.makedirs(parent, exist_ok=True)
@@ -394,6 +291,7 @@ class CompileCache:
         config: Optional[CompilerConfig] = None,
         prelude: bool = True,
         tracer=None,
+        key: Optional[str] = None,
     ) -> Tuple[CompiledProgram, bool]:
         """Compile *source* under *config*, through the cache.
 
@@ -401,37 +299,16 @@ class CompileCache:
         so per-pass tracer spans are only recorded on a miss (callers
         that want compile observability should bypass the cache).
 
-        Tier order: memory LRU, then the executable-artifact tier
-        (when enabled for this config — skips predecode/blockcompile
-        entirely), then the ISA tier.  An ISA hit whose artifact was
-        missing or stale re-promotes it; a full miss compiles and
-        writes both tiers.
+        Lookup is memory, then disk, then a compile whose result is
+        stored.  *key* is ``cache_key(source, config, prelude)`` when
+        the caller has already computed it; the source is then not
+        read again.
         """
         config = config or CompilerConfig()
-        key = cache_key(source, config, prelude)
-        use_artifact = self._artifact_enabled(config)
-        cached = self._memory.get(key)
-        if cached is not None:
-            self._memory.move_to_end(key)
-            self.stats.hits += 1
-            self.stats.memory_hits += 1
-            if self.registry.enabled:
-                declare(self.registry, "repro_cache_hits").labels(
-                    tier="memory"
-                ).inc()
-            return cached, True
-        if use_artifact:
-            compiled = self.get_artifact(key, fingerprint=config.fingerprint())
-            if compiled is not None:
-                self._remember(key, compiled)
-                self.stats.hits += 1
-                return compiled, True
+        if key is None:
+            key = cache_key(source, config, prelude)
         cached = self.get(key)
         if cached is not None:
-            if use_artifact:
-                # ISA hit, artifact miss: promote so the next warm
-                # process skips predecode + blockcompile.
-                self.put_artifact(key, cached)
             return cached, True
         started = time.perf_counter()
         compiled = compile_source(
@@ -442,39 +319,34 @@ class CompileCache:
                 time.perf_counter() - started
             )
         self.put(key, compiled)
-        if use_artifact:
-            self.put_artifact(key, compiled)
         return compiled, False
 
     # -- maintenance ----------------------------------------------------
 
-    def entries(self, tier: str = "all") -> List[CacheEntry]:
-        """On-disk entries, oldest (least recently used) first.  *tier*
-        selects ``"objects"`` (ISA), ``"artifacts"``, or ``"all"``
-        (the default — maintenance must see both tiers)."""
-        tiers = TIERS if tier == "all" else (tier,)
+    def entries(self) -> List[CacheEntry]:
+        """On-disk entries, oldest (least recently used) first."""
         found: List[CacheEntry] = []
-        for tier_name in tiers:
-            tier_dir = self._tier_dir(tier_name)
-            if tier_dir is None or not os.path.isdir(tier_dir):
+        if self.root is None:
+            return found
+        objects = os.path.join(self.root, "objects")
+        if not os.path.isdir(objects):
+            return found
+        for shard in sorted(os.listdir(objects)):
+            shard_dir = os.path.join(objects, shard)
+            if not os.path.isdir(shard_dir):
                 continue
-            for shard in sorted(os.listdir(tier_dir)):
-                shard_dir = os.path.join(tier_dir, shard)
-                if not os.path.isdir(shard_dir):
+            for name in sorted(os.listdir(shard_dir)):
+                if not name.endswith(".bin"):
                     continue
-                for name in sorted(os.listdir(shard_dir)):
-                    if not name.endswith(".bin"):
-                        continue
-                    path = os.path.join(shard_dir, name)
-                    try:
-                        st = os.stat(path)
-                    except OSError:  # pragma: no cover - concurrent removal
-                        continue
-                    found.append(CacheEntry(
-                        name[: -len(".bin")], path, st.st_size,
-                        st.st_mtime, tier_name,
-                    ))
-        found.sort(key=lambda e: (e.mtime, e.key, e.tier))
+                path = os.path.join(shard_dir, name)
+                try:
+                    st = os.stat(path)
+                except OSError:  # pragma: no cover - concurrent removal
+                    continue
+                found.append(
+                    CacheEntry(name[: -len(".bin")], path, st.st_size, st.st_mtime)
+                )
+        found.sort(key=lambda e: (e.mtime, e.key))
         return found
 
     def gc(
@@ -504,69 +376,43 @@ class CompileCache:
         return removed
 
     def verify(self, remove: bool = False) -> dict:
-        """Integrity-scan the on-disk store — **both tiers**: ISA
-        entries re-validate framing and checksum; artifact entries
-        additionally check the version/fingerprint stamps (skew counts
-        as ``stale``, not ``corrupt`` — a stale artifact is simply
-        awaiting re-promotion, though ``remove=True`` deletes it too,
-        since it can never be read again by this build).
-
-        Corrupt entries are counted (``stats.corruptions`` /
-        ``stats.artifact_corruptions`` and their metrics) and, with
+        """Integrity-scan the on-disk store: every entry re-validates
+        its framing and checksum.  Corrupt entries are counted
+        (``stats.corruptions`` and its metric) and, with
         ``remove=True``, deleted.  Returns ``{"scanned", "ok",
-        "corrupt", "stale", "removed", "bytes", "tiers"}`` where
-        ``tiers`` breaks the same counts down per tier.
-        """
-        tiers = {
-            name: {"scanned": 0, "ok": 0, "corrupt": 0, "stale": 0,
-                   "removed": 0, "bytes": 0}
-            for name in TIERS
-        }
+        "corrupt", "removed", "bytes"}``."""
+        report = {"scanned": 0, "ok": 0, "corrupt": 0, "removed": 0, "bytes": 0}
         for entry in self.entries():
-            t = tiers[entry.tier]
-            t["scanned"] += 1
-            t["bytes"] += entry.size
-            status = "ok"
+            report["scanned"] += 1
+            report["bytes"] += entry.size
             try:
                 with open(entry.path, "rb") as handle:
-                    data = handle.read()
-                if entry.tier == "artifacts":
-                    load_artifact(data)
-                else:
-                    deserialize_compiled(data)
-            except ArtifactStale:
-                status = "stale"
-            except (OSError, CacheCorrupt, ArtifactError):
-                status = "corrupt"
-                if entry.tier == "artifacts":
-                    self.stats.artifact_corruptions += 1
-                    if self.registry.enabled:
-                        declare(self.registry, "repro_artifact_corruptions").inc()
-                else:
-                    self.stats.corruptions += 1
-                    if self.registry.enabled:
-                        declare(self.registry, "repro_cache_corruptions").inc()
-            t[status] += 1
-            if status != "ok" and remove:
-                self._discard(entry.path)
-                if entry.tier == "objects":
+                    deserialize_compiled(handle.read())
+            except (OSError, CacheCorrupt):
+                report["corrupt"] += 1
+                self.stats.corruptions += 1
+                if self.registry.enabled:
+                    declare(self.registry, "repro_cache_corruptions").inc()
+                if remove:
+                    self._discard(entry.path)
                     self._memory.pop(entry.key, None)
-                t["removed"] += 1
-        report = {
-            key: sum(t[key] for t in tiers.values())
-            for key in ("scanned", "ok", "corrupt", "stale", "removed", "bytes")
-        }
-        report["tiers"] = tiers
+                    report["removed"] += 1
+            else:
+                report["ok"] += 1
         return report
 
     def clear(self) -> int:
         """Drop every entry (memory and disk).  Returns the number of
-        disk entries removed — the explicit invalidation command."""
+        disk entries removed — the explicit invalidation command.  An
+        ``artifacts/`` directory left by builds that kept a second,
+        executable tier is deleted too: nothing else walks it."""
         removed = 0
         for entry in self.entries():
             self._discard(entry.path)
             removed += 1
         self._memory.clear()
+        if self.root is not None:
+            shutil.rmtree(os.path.join(self.root, "artifacts"), ignore_errors=True)
         return removed
 
     def disk_usage(self) -> Tuple[int, int]:
@@ -579,13 +425,6 @@ class CompileCache:
     def _path(self, key: str) -> str:
         assert self.root is not None
         return os.path.join(self.root, "objects", key[:2], key + ".bin")
-
-    def _artifact_path(self, key: str) -> str:
-        assert self.root is not None
-        return os.path.join(self.root, "artifacts", key[:2], key + ".bin")
-
-    def _tier_dir(self, tier: str) -> Optional[str]:
-        return os.path.join(self.root, tier) if self.root else None
 
     def _remember(self, key: str, compiled: CompiledProgram) -> None:
         self._memory[key] = compiled

@@ -109,6 +109,10 @@ _RETRY_AFTER_S = 0.05
 #: Seconds between periodic registry dumps when ``metrics_out`` is set.
 _METRICS_DUMP_INTERVAL = 5.0
 
+#: Longest the pool bridge sleeps between deadline/liveness sweeps while
+#: a task is out (a result or a new command wakes it sooner).
+_SWEEP_S = 0.02
+
 
 class _PoolBridge:
     """The worker pool behind a thread boundary.
@@ -116,7 +120,9 @@ class _PoolBridge:
     Commands from the event loop go through one FIFO queue, so they
     reach the pool in the order they were sent; all pool mutation
     happens on the bridge thread, and results come back by resolving
-    loop futures.
+    loop futures.  Each command also writes one byte to a wake pipe,
+    which the bridge's result poll sleeps on: a submit reaches an idle
+    worker at once instead of after the poll's sweep period.
     """
 
     def __init__(self, loop: asyncio.AbstractEventLoop, **pool_kwargs: Any) -> None:
@@ -124,6 +130,9 @@ class _PoolBridge:
         self.jobs = max(1, pool_kwargs.get("jobs", 1))
         self._pool_kwargs = pool_kwargs
         self._commands: "queue.Queue" = queue.Queue()
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
         self._sent = 0  # commands queued (loop side)
         self._handled = 0  # commands carried out (bridge side)
         self._futures: Dict[int, "asyncio.Future"] = {}  # task_id -> future
@@ -142,6 +151,14 @@ class _PoolBridge:
     def _send(self, *command: Any) -> None:
         self._sent += 1
         self._commands.put(command)
+        if self._wake_w is None:
+            return
+        try:
+            os.write(self._wake_w, b"\0")
+        except (BlockingIOError, BrokenPipeError):
+            # Full: a wake-up is already pending.  Broken: the bridge
+            # has finished and reads nothing more.
+            pass
 
     def submit(
         self,
@@ -175,14 +192,27 @@ class _PoolBridge:
     def stop(self, join_timeout: float = 10.0) -> None:
         self._send("stop")
         self._thread.join(timeout=join_timeout)
+        if not self._thread.is_alive():
+            os.close(self._wake_w)
+            self._wake_w = None
 
     # -- bridge thread --------------------------------------------------
 
     def _run(self) -> None:
+        try:
+            self._serve()
+        finally:
+            os.close(self._wake_r)
+
+    def _serve(self) -> None:
         with WorkerPool(**self._pool_kwargs) as pool:
             self._started.set()
             stopping = False
             while not stopping or self._futures:
+                # Empty the wake pipe before taking commands: a command
+                # sent after this point leaves a byte that ends the
+                # next poll, so no wake-up is lost.
+                self._drain_wake()
                 # With no task out, block on the command queue (an idle
                 # bridge must not spin); otherwise take what is queued
                 # and go back to polling results.
@@ -198,7 +228,7 @@ class _PoolBridge:
                     else:
                         self._handle(pool, command)
                     self._handled += 1
-                for result in pool.poll(0.02):
+                for result in pool.poll(_SWEEP_S, wake=self._wake_r):
                     self._deliver(result)
                 if stopping:
                     # Nothing new arrives after stop; resolve what is
@@ -214,6 +244,13 @@ class _PoolBridge:
                 ),
             )
         self._futures.clear()
+
+    def _drain_wake(self) -> None:
+        try:
+            while os.read(self._wake_r, 4096):
+                pass
+        except BlockingIOError:
+            pass
 
     def _handle(self, pool: WorkerPool, command) -> None:
         if command[0] == "submit":
@@ -331,7 +368,6 @@ class NetServer:
         cache: bool = True,
         cache_dir: Optional[str] = None,
         disk_cache: bool = True,
-        artifacts: bool = True,
         registry=None,
         recorder=None,
         metrics_out: Optional[str] = None,
@@ -360,7 +396,6 @@ class NetServer:
             cache=cache,
             cache_dir=cache_dir,
             disk_cache=disk_cache,
-            artifacts=artifacts,
             registry=self.registry,
             recorder=self.recorder,
             flight_dir=flight_dir,
@@ -650,23 +685,22 @@ class NetServer:
 
     # -- work requests --------------------------------------------------
 
-    def _flight_key(self, request: Request) -> Optional[str]:
-        """The single-flight identity of a request: the compile-cache
-        key (canonical source + config fingerprint + version) extended
-        with the op and budget, which also determine the answer.  None
-        when dedup is off or the source cannot even be canonicalized —
-        those requests fly alone, and a worker classifies the error."""
+    def _cache_key(self, request: Request) -> Optional[str]:
+        """The request's compile-cache key (canonical source + config
+        fingerprint + version), the base of its single-flight identity.
+        None when dedup is off or the source cannot even be
+        canonicalized — those requests fly alone, and a worker
+        classifies the error."""
         if not self.config.dedup:
             return None
         try:
-            key = cache_key(
+            return cache_key(
                 request.source,
                 request.config or CompilerConfig(),
                 request.prelude,
             )
         except Exception:  # noqa: BLE001 - unparseable/odd source: no dedup
             return None
-        return f"{key}:{request.op}:{request.max_instructions}"
 
     def _admit(
         self, conn: _Connection, request: Request, tenant: str, trace=None
@@ -677,14 +711,25 @@ class NetServer:
         self.requests += 1
         started = time.monotonic()
         dedup_ns = trace.now_ns() if trace is not None else 0
-        key = self._flight_key(request) or f"#{self.requests}"
+        ckey = self._cache_key(request)
+        # The op and budget also determine the answer.
+        key = (
+            f"{ckey}:{request.op}:{request.max_instructions}"
+            if ckey is not None else f"#{self.requests}"
+        )
         leader, shared = self.flights.join(key)
         # Only the leader reaches the pool, so the worker's compile
         # spans belong to the leader's trace, under this run span.
         run_id = new_span_id() if leader and trace is not None else None
         if leader:
+            payload = request.payload()
+            if ckey is not None:
+                # The worker's cache looks this key up instead of
+                # reading the source a second time.  It is always the
+                # daemon's own: Request.from_dict drops a client "key".
+                payload["key"] = ckey
             self.bridge.submit(
-                shared, request.op, request.payload(), request.timeout,
+                shared, request.op, payload, request.timeout,
                 trace=trace.context(run_id) if run_id else None,
             )
         else:
@@ -904,7 +949,6 @@ def serve_tcp(
     cache: bool = True,
     cache_dir: Optional[str] = None,
     disk_cache: bool = True,
-    artifacts: bool = True,
     serve_config: Optional[ServeConfig] = None,
     metrics_out: Optional[str] = None,
     flight_dir: Optional[str] = None,
@@ -935,7 +979,6 @@ def serve_tcp(
         cache=cache,
         cache_dir=cache_dir,
         disk_cache=disk_cache,
-        artifacts=artifacts,
         metrics_out=metrics_out,
         flight_dir=flight_dir,
         announce=announce,

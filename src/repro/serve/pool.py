@@ -27,6 +27,7 @@ import queue as _queue_mod
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as _wait
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.observe.catalog import declare
@@ -138,7 +139,6 @@ class WorkerPool:
         cache: bool = True,
         cache_dir: Optional[str] = None,
         disk_cache: bool = True,
-        artifacts: bool = True,
         mp_context: Optional[str] = None,
         registry=None,
         recorder=None,
@@ -150,7 +150,6 @@ class WorkerPool:
             "cache": cache,
             "cache_dir": cache_dir,
             "disk_cache": disk_cache,
-            "artifacts": artifacts,
         }
         self.registry = registry if registry is not None else get_registry()
         self.recorder = recorder if recorder is not None else get_flight_recorder()
@@ -246,13 +245,20 @@ class WorkerPool:
             for result in self._poll(_POLL_INTERVAL):
                 yield result
 
-    def poll(self, timeout: float = _POLL_INTERVAL) -> List[TaskResult]:
+    def poll(
+        self, timeout: float = _POLL_INTERVAL, wake: Optional[int] = None
+    ) -> List[TaskResult]:
         """Non-draining collection step: whatever results are ready
-        within *timeout* seconds (possibly none).  The daemon's loop
-        uses this to interleave result delivery with request intake."""
+        within *timeout* seconds (possibly none).  The daemon's bridge
+        uses this to interleave result delivery with request intake.
+
+        *wake* is a readable fd (the read end of a wake pipe) that also
+        ends the wait: the caller makes it readable when it has new
+        work to hand over, so a submit never waits out the timeout.
+        The caller drains it; the pool only waits on it."""
         if not self._outstanding and not self._ready:
             return []
-        return self._poll(timeout)
+        return self._poll(timeout, wake)
 
     def wait_all(self) -> List[TaskResult]:
         return list(self.results())
@@ -365,22 +371,24 @@ class WorkerPool:
             return worker
         return None
 
-    def _poll(self, timeout: float) -> List[TaskResult]:
-        """Drain the result queue, then sweep deadlines and liveness."""
+    def _poll(self, timeout: float, wake: Optional[int] = None) -> List[TaskResult]:
+        """Drain the result queue, then sweep deadlines and liveness.
+        Results resolved without a worker are handed out at once."""
         out: List[TaskResult] = []
         if self._ready:
             out.extend(self._ready)
             self._ready.clear()
-        try:
-            message = self._results.get(timeout=timeout)
-        except _queue_mod.Empty:
-            message = None
+            timeout = 0.0
+        # One sleep over the result pipe and the caller's wake fd, as
+        # the manager thread of concurrent.futures.process does.
+        waitables = [self._results._reader]
+        if wake is not None:
+            waitables.append(wake)
+        _wait(waitables, timeout)
+        message = self._next_message()
         while message is not None:
             out.extend(self._absorb(message))
-            try:
-                message = self._results.get_nowait()
-            except _queue_mod.Empty:
-                message = None
+            message = self._next_message()
         now = time.monotonic()
         for worker in list(self._workers.values()):
             task = worker.task
@@ -402,6 +410,12 @@ class WorkerPool:
         self._dispatch()
         self._gauge_depth()
         return out
+
+    def _next_message(self):
+        try:
+            return self._results.get_nowait()
+        except _queue_mod.Empty:
+            return None
 
     def _absorb(self, message) -> List[TaskResult]:
         worker_id, task_id, ok, value, error_kind, error, run_s, meta = message

@@ -178,7 +178,6 @@ class BatchService:
         cache: bool = True,
         cache_dir: Optional[str] = None,
         disk_cache: bool = True,
-        artifacts: bool = True,
         registry=None,
         recorder=None,
         flight_dir: Optional[str] = None,
@@ -201,14 +200,10 @@ class BatchService:
         self._cache_enabled = cache
         self._cache_dir = cache_dir
         self._disk_cache = disk_cache
-        self._artifacts = artifacts
         # Inline-mode cache; pool workers each open their own (same
         # disk root, process-local memory tier).
         self.cache: Optional[CompileCache] = (
-            CompileCache(
-                root=cache_dir, disk=disk_cache, artifacts=artifacts,
-                registry=self.registry,
-            )
+            CompileCache(root=cache_dir, disk=disk_cache, registry=self.registry)
             if cache and self.jobs <= 1
             else None
         )
@@ -275,7 +270,6 @@ class BatchService:
             cache=self._cache_enabled,
             cache_dir=self._cache_dir,
             disk_cache=self._disk_cache,
-            artifacts=self._artifacts,
             registry=self.registry,
             recorder=self.recorder,
             flight_dir=self.flight_dir,

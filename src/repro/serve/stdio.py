@@ -129,7 +129,6 @@ def serve_stdio(
     cache: bool = True,
     cache_dir: Optional[str] = None,
     disk_cache: bool = True,
-    artifacts: bool = True,
     serve_config: Optional[ServeConfig] = None,
     metrics_out: Optional[str] = None,
     flight_dir: Optional[str] = None,
@@ -160,7 +159,6 @@ def serve_stdio(
         cache=cache,
         cache_dir=cache_dir,
         disk_cache=disk_cache,
-        artifacts=artifacts,
         metrics_out=metrics_out,
         flight_dir=flight_dir,
     )

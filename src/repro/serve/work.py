@@ -67,14 +67,18 @@ def _config_of(payload: Dict[str, Any]) -> CompilerConfig:
 
 
 def _compile(payload: Dict[str, Any], state: Dict[str, Any]):
-    """Compile through the worker's cache (when it has one)."""
+    """Compile through the worker's cache (when it has one), under the
+    cache key the daemon computed when the payload carries one."""
     source = payload["source"]
     config = _config_of(payload)
     prelude = payload.get("prelude", True)
     cache = state.get("cache")
     tracer = state.get("tracer")
     if cache is not None:
-        return cache.compile(source, config, prelude=prelude, tracer=tracer)
+        return cache.compile(
+            source, config, prelude=prelude, tracer=tracer,
+            key=payload.get("key"),
+        )
     return (
         compile_source(source, config, prelude=prelude, tracer=tracer),
         False,
@@ -206,7 +210,6 @@ def worker_main(worker_id: int, inbox, outbox, init: Dict[str, Any]) -> None:
         state["cache"] = CompileCache(
             root=init.get("cache_dir"),
             disk=init.get("disk_cache", True),
-            artifacts=init.get("artifacts", True),
             registry=registry,
         )
     while True:

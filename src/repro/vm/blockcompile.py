@@ -1058,10 +1058,11 @@ class TraceModule:
     the source text, the trace records (``(start, fn_name, exits)``),
     the const-pool bindings the source references, and — when built
     with ``track_callees`` — the statically-proven callee map.  This
-    is the unit the artifact cache persists (source is re-``compile``-
-    able, consts are picklable once primitives are named; see
-    :mod:`repro.vm.artifact`) and the AOT emitter splices into a
-    whole-program module (:mod:`repro.vm.aotemit`)."""
+    is the unit :func:`compile_blocks` compiles and instantiates on
+    the live code object once it turns hot, and the unit the AOT
+    emitter splices into a whole-program module
+    (:mod:`repro.vm.aotemit`).  It is never persisted: the compile
+    cache stores the ISA only."""
 
     __slots__ = ("n", "records", "source", "const_values", "callees")
 

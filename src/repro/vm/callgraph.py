@@ -151,7 +151,8 @@ def closure_slot_callees(
     resolves, and everything murkier degrades to "not proven" — never
     to a wrong callee.  The result feeds :func:`proves_direct_call`
     through the trace builder's callee tracking
-    (:func:`repro.vm.blockcompile.build_trace_module`).
+    (:func:`repro.vm.blockcompile.build_trace_module` with
+    ``track_callees``, which only the AOT emitter asks for).
     """
     # Lazy import: this function runs at build time only; the runtime
     # slice an emitted module pulls in must not grow by it.

@@ -4,10 +4,12 @@ are caught, and an injected shuffle bug is found and shrunk small."""
 import pytest
 
 import repro.core.shuffle as shuffle
+import repro.serve.cache as serve_cache
 from repro.config import CompilerConfig, full_matrix
 from repro.fuzz.genprog import generate_program
 from repro.fuzz.oracle import InvalidProgram, check_program, interp_reference
 from repro.fuzz.shrink import program_size, shrink_program
+from repro.pipeline import compile_source
 
 TAK = (
     "(define (tak x y z)\n"
@@ -172,6 +174,25 @@ def _buggy_greedy(plan, simple, spill_all):
             placed = max(remaining)  # the injected bug
         plan.steps.append(("direct", simple[placed]))
         remaining.remove(placed)
+
+
+class TestReloadedMode:
+    def test_diverging_reload_is_reported_as_reloaded(self, monkeypatch):
+        # A disk hit runs the program as deserialized from the cache;
+        # a serializer that loses the program must not go unnoticed.
+        monkeypatch.setattr(
+            serve_cache, "deserialize_compiled",
+            lambda data: compile_source("(+ 1 1)"),
+        )
+        result = check_program(TAK, configs=[CompilerConfig()])
+        (divergence,) = result.divergences
+        assert divergence.kind == "vm-fast"
+        assert divergence.expected == "value 3"
+        assert divergence.got == "reloaded: value 2"
+
+    def test_faithful_reload_agrees(self):
+        result = check_program(TAK, configs=[CompilerConfig()])
+        assert result.ok, [d.describe() for d in result.divergences]
 
 
 class TestInjectedBug:

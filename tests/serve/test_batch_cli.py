@@ -118,11 +118,11 @@ def test_cache_cli(tmp_path, capsys, flag):
     capsys.readouterr()
     assert main(["cache", flag, "--cache-dir", cache]) == 0
     captured = capsys.readouterr()
-    # One ISA entry plus its executable artifact.
+    # One entry: the compiled program.
     if flag == "stats":
-        assert "entries  2" in captured.out
+        assert "entries  1" in captured.out
     else:
-        assert "cleared 2" in captured.err
+        assert "cleared 1" in captured.err
 
 
 def test_cache_gc_cli(tmp_path, capsys):
@@ -154,18 +154,20 @@ def test_cache_stats_verify_cli(tmp_path, capsys):
         ["cache", "stats", "--cache-dir", cache, "--verify", "--json"]
     ) == 0
     doc = json.loads(capsys.readouterr().out)
-    # Both tiers scanned: the ISA entry and its executable artifact.
-    assert doc["verify"]["scanned"] == doc["entries"] == 2
-    assert doc["verify"]["corrupt"] == 0
-    assert doc["verify"]["tiers"]["artifacts"]["scanned"] == 1
+    # One tier, one entry: the compiled program.
+    assert doc["verify"] == {
+        "scanned": 1, "ok": 1, "corrupt": 0, "removed": 0,
+        "bytes": doc["bytes"],
+    }
+    assert doc["entries"] == 1
     assert doc["counters"]["corruptions"] == 0
 
-    # Corrupt the *artifact* entry on disk: verify must scan that tier
-    # too, report it, and exit non-zero.
+    # Corrupt the entry on disk: verify must report it and exit
+    # non-zero.
     from repro.serve.cache import CompileCache
 
-    (artifact,) = CompileCache(root=cache).entries(tier="artifacts")
-    with open(artifact.path, "wb") as handle:
+    (entry,) = CompileCache(root=cache).entries()
+    with open(entry.path, "wb") as handle:
         handle.write(b"junk")
     assert main(["cache", "stats", "--cache-dir", cache, "--verify"]) == 1
     out = capsys.readouterr().out

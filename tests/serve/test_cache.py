@@ -28,6 +28,7 @@ from repro.serve.cache import (
 )
 from repro.sexp.reader import ReaderError
 from repro.sexp.writer import write_datum
+from repro.vm.machine import trace_all
 
 TAK = "(define (tak x y z) (if (not (< y x)) z (tak (tak (- x 1) y z) (tak (- y 1) z x) (tak (- z 1) x y)))) (tak 8 4 2)"
 
@@ -92,7 +93,6 @@ FIELD_MUTATIONS = {
     "save_convention": "callee",
     "branch_prediction": "static-calls",
     "vm_fast": False,
-    "artifact_cache": False,
     "aot_direct_calls": False,
     "cost_model": CostModel(load_latency=5),
 }
@@ -133,6 +133,12 @@ def test_as_dict_round_trips():
 def test_from_dict_rejects_unknown_fields():
     with pytest.raises(ValueError, match="unknown config fields"):
         CompilerConfig.from_dict({"num_arg_regs": 6, "turbo": True})
+
+
+def test_from_dict_rejects_the_retired_artifact_knob():
+    # The executable-artifact tier is gone, and its knob with it.
+    with pytest.raises(ValueError, match="artifact_cache"):
+        CompilerConfig.from_dict({"artifact_cache": True})
 
 
 # -- serialization ------------------------------------------------------
@@ -176,6 +182,25 @@ def test_serialize_restores_fast_caches():
     assert [c.fast_instructions for c in compiled.codes] == populated
 
 
+def test_round_trip_preserves_permutation_opcodes():
+    """permopt output carries the swap/permi opcodes through the ISA
+    tier's round trip, and the reloaded program runs them identically
+    whether its code stays in the step tier or turns hot."""
+    rotation = """
+    (define (rot a b c n)
+      (if (= n 0) (+ a (* 2 b) (* 3 c)) (rot b c a (- n 1))))
+    (rot 1 2 3 50)
+    """
+    config = CompilerConfig(shuffle_strategy="permopt")
+    reference = _run_all_ways(compile_source(rotation, config))
+    assert reference[True][2]["swaps"] > 0
+    thawed = deserialize_compiled(serialize_compiled(compile_source(rotation, config)))
+    assert _run_all_ways(thawed) == reference
+    thawed = deserialize_compiled(serialize_compiled(compile_source(rotation, config)))
+    trace_all(thawed)
+    assert _run_all_ways(thawed) == reference
+
+
 def test_deserialize_rejects_bad_magic():
     with pytest.raises(CacheCorrupt, match="header"):
         deserialize_compiled(b"NOPE" + b"\x00" * 40)
@@ -190,6 +215,24 @@ def test_deserialize_rejects_truncation():
 def test_deserialize_rejects_flipped_byte():
     blob = bytearray(serialize_compiled(compile_source("(+ 1 2)", CompilerConfig())))
     blob[-1] ^= 0xFF
+    with pytest.raises(CacheCorrupt, match="checksum"):
+        deserialize_compiled(bytes(blob))
+
+
+def test_deserialize_rejects_every_truncation():
+    # Cuts inside the magic, mid-body and one byte short: a partly
+    # written entry never loads.
+    blob = serialize_compiled(compile_source(TAK, CompilerConfig()))
+    for cut in (0, 3, len(blob) // 2, len(blob) - 1):
+        with pytest.raises(CacheCorrupt):
+            deserialize_compiled(blob[:cut])
+
+
+def test_deserialize_rejects_a_damaged_digest():
+    from repro.serve.cache import MAGIC
+
+    blob = bytearray(serialize_compiled(compile_source(TAK, CompilerConfig())))
+    blob[len(MAGIC)] ^= 0x40
     with pytest.raises(CacheCorrupt, match="checksum"):
         deserialize_compiled(bytes(blob))
 
@@ -219,16 +262,83 @@ def test_hit_matches_fresh_compile(tmp_path):
 
 
 def test_disk_hit_survives_new_process_object(tmp_path):
-    # artifacts=False pins this to the ISA tier; the artifact tier's
-    # process-survival behaviour is tested in tests/vm/test_artifact.py.
-    CompileCache(root=str(tmp_path), artifacts=False).compile(TAK, CompilerConfig())
-    fresh_cache = CompileCache(root=str(tmp_path), artifacts=False)
+    CompileCache(root=str(tmp_path)).compile(TAK, CompilerConfig())
+    fresh_cache = CompileCache(root=str(tmp_path))
     compiled, hit = fresh_cache.compile(TAK, CompilerConfig())
     assert hit
     assert fresh_cache.stats.disk_hits == 1
+    # Only the ISA is stored: the reloaded program builds its VM state
+    # as it runs.
+    assert all(code.fast_blocks is None for code in compiled.codes)
     assert _run_all_ways(compiled) == _run_all_ways(
         compile_source(TAK, CompilerConfig())
     )
+
+
+def test_disk_hit_traces_only_the_code_that_turns_hot(tmp_path):
+    # A reloaded program runs tiered, as a fresh compile does: the same
+    # code objects turn hot and are trace-compiled, and no others.
+    source = """
+    (define (tak x y z)
+      (if (not (< y x))
+          z
+          (tak (tak (- x 1) y z) (tak (- y 1) z x) (tak (- z 1) x y))))
+    (define (sq x) (* x x))
+    (+ (tak 14 8 2) (sq 3))
+    """
+    config = CompilerConfig()
+    CompileCache(root=str(tmp_path)).compile(source, config)
+    reloaded, hit = CompileCache(root=str(tmp_path)).compile(source, config)
+    assert hit
+    fresh = compile_source(source, config)
+    signatures = []
+    for compiled in (fresh, reloaded):
+        result = run_compiled(compiled)
+        signatures.append(
+            (
+                write_datum(result.value),
+                result.output,
+                result.counters.as_dict(),
+                result.classifier.counts,
+                [c.name for c in compiled.codes if c.fast_blocks is not None],
+            )
+        )
+    assert signatures[0] == signatures[1]
+    assert signatures[1][4] == ["tak"]
+
+
+def test_version_skew_is_a_miss_never_an_error(tmp_path, monkeypatch):
+    # A new release keys every program afresh, so what an older release
+    # stored is never read, and the program compiles and runs as usual.
+    import repro.serve.cache as cache_mod
+
+    config = CompilerConfig()
+    CompileCache(root=str(tmp_path)).compile(TAK, config)
+    monkeypatch.setattr(cache_mod, "__version__", "0.0.0-other")
+    later = CompileCache(root=str(tmp_path))
+    compiled, hit = later.compile(TAK, config)
+    assert not hit
+    assert later.stats.corruptions == 0
+    assert len(later.entries()) == 2
+    assert _run_all_ways(compiled) == _run_all_ways(compile_source(TAK, config))
+
+
+def test_entry_format_skew_is_a_miss_never_an_error(tmp_path, monkeypatch):
+    # A new entry layout bumps MAGIC: an entry in the old layout counts
+    # as a corruption, is recompiled and rewritten, and is never
+    # unpickled as the new one.
+    import repro.serve.cache as cache_mod
+
+    config = CompilerConfig()
+    CompileCache(root=str(tmp_path)).compile(TAK, config)
+    monkeypatch.setattr(cache_mod, "MAGIC", b"RPC9")
+    later = CompileCache(root=str(tmp_path))
+    compiled, hit = later.compile(TAK, config)
+    assert not hit
+    assert later.stats.corruptions == 1
+    assert _run_all_ways(compiled) == _run_all_ways(compile_source(TAK, config))
+    _, hit = CompileCache(root=str(tmp_path)).compile(TAK, config)
+    assert hit
 
 
 def test_config_spread_gets_distinct_entries(tmp_path):
@@ -236,24 +346,44 @@ def test_config_spread_gets_distinct_entries(tmp_path):
     for param in CONFIG_SPREAD:
         _, hit = cache.compile(TAK, param.values[0])
         assert not hit
-    assert len(cache.entries(tier="objects")) == len(CONFIG_SPREAD)
-    # Every vm_fast config also wrote an executable artifact.
-    fast = sum(1 for p in CONFIG_SPREAD if p.values[0].vm_fast)
-    assert len(cache.entries(tier="artifacts")) == fast
+    # One entry per config: a miss writes the ISA and nothing else.
+    assert len(cache.entries()) == len(CONFIG_SPREAD)
+    assert cache.stats.stores == len(CONFIG_SPREAD)
+    assert os.listdir(str(tmp_path)) == ["objects"]
+
+
+def test_given_key_skips_canonicalization(tmp_path, monkeypatch):
+    import repro.serve.cache as cache_mod
+
+    config = CompilerConfig()
+    key = cache_key(TAK, config)
+
+    def unread(*args, **kwargs):
+        raise AssertionError("canonical_source called despite a given key")
+
+    monkeypatch.setattr(cache_mod, "canonical_source", unread)
+    cache = CompileCache(root=str(tmp_path))
+    first, hit1 = cache.compile(TAK, config, key=key)
+    second, hit2 = cache.compile(TAK, config, key=key)
+    fresh, hit3 = CompileCache(root=str(tmp_path)).compile(TAK, config, key=key)
+    assert (hit1, hit2, hit3) == (False, True, True)
+    assert second is first
+    assert [e.key for e in cache.entries()] == [key]
+    assert _run_all_ways(fresh) == _run_all_ways(compile_source(TAK, config))
 
 
 def test_corrupted_entry_is_a_miss_not_a_crash(tmp_path):
-    cache = CompileCache(root=str(tmp_path), artifacts=False)
+    cache = CompileCache(root=str(tmp_path))
     cache.compile(TAK, CompilerConfig())
     (entry,) = cache.entries()
     with open(entry.path, "wb") as handle:
         handle.write(b"garbage")
-    fresh = CompileCache(root=str(tmp_path), artifacts=False)
+    fresh = CompileCache(root=str(tmp_path))
     compiled, hit = fresh.compile(TAK, CompilerConfig())
     assert not hit
     assert fresh.stats.corruptions == 1
     # The bad entry was discarded and rewritten; next time hits.
-    _, hit2 = CompileCache(root=str(tmp_path), artifacts=False).compile(
+    _, hit2 = CompileCache(root=str(tmp_path)).compile(
         TAK, CompilerConfig()
     )
     assert hit2
@@ -261,21 +391,21 @@ def test_corrupted_entry_is_a_miss_not_a_crash(tmp_path):
 
 
 def test_truncated_entry_is_a_miss(tmp_path):
-    cache = CompileCache(root=str(tmp_path), artifacts=False)
+    cache = CompileCache(root=str(tmp_path))
     cache.compile(TAK, CompilerConfig())
     (entry,) = cache.entries()
     with open(entry.path, "rb") as handle:
         data = handle.read()
     with open(entry.path, "wb") as handle:
         handle.write(data[: len(data) // 3])
-    fresh = CompileCache(root=str(tmp_path), artifacts=False)
+    fresh = CompileCache(root=str(tmp_path))
     _, hit = fresh.compile(TAK, CompilerConfig())
     assert not hit
     assert fresh.stats.corruptions == 1
 
 
 def test_memory_lru_evicts_oldest(tmp_path):
-    cache = CompileCache(root=str(tmp_path), memory_entries=2, artifacts=False)
+    cache = CompileCache(root=str(tmp_path), memory_entries=2)
     sources = ["(+ 1 1)", "(+ 2 2)", "(+ 3 3)"]
     for source in sources:
         cache.compile(source, CompilerConfig())
@@ -296,7 +426,7 @@ def test_memory_only_mode_touches_no_disk(tmp_path, monkeypatch):
 
 
 def test_gc_evicts_lru_first(tmp_path):
-    cache = CompileCache(root=str(tmp_path), artifacts=False)
+    cache = CompileCache(root=str(tmp_path))
     sources = ["(+ 1 1)", "(+ 2 2)", "(+ 3 3)"]
     for source in sources:
         cache.compile(source, CompilerConfig())
@@ -319,11 +449,23 @@ def test_gc_max_bytes(tmp_path):
 def test_clear_invalidates_everything(tmp_path):
     cache = CompileCache(root=str(tmp_path))
     cache.compile("(+ 1 2)", CompilerConfig())
-    # clear drops both tiers: the ISA entry and its artifact.
-    assert cache.clear() == 2
+    assert cache.clear() == 1
     assert cache.disk_usage() == (0, 0)
     _, hit = cache.compile("(+ 1 2)", CompilerConfig())
     assert not hit
+
+
+def test_clear_removes_a_leftover_artifact_tier(tmp_path):
+    # A root written by a build that kept executable artifacts: no
+    # walk reads artifacts/, so clear is what reclaims it.
+    shard = tmp_path / "artifacts" / "ab"
+    shard.mkdir(parents=True)
+    (shard / ("ab" + "0" * 62 + ".bin")).write_bytes(b"RPA1 old artifact")
+    cache = CompileCache(root=str(tmp_path))
+    cache.compile("(+ 1 2)", CompilerConfig())
+    assert cache.disk_usage()[0] == 1  # the leftover is no entry
+    assert cache.clear() == 1
+    assert not (tmp_path / "artifacts").exists()
 
 
 def test_default_cache_dir_honours_env(monkeypatch):
@@ -338,14 +480,14 @@ def test_default_cache_dir_honours_env(monkeypatch):
 
 
 def test_verify_scans_and_removes_corrupt_entries(tmp_path):
-    cache = CompileCache(root=str(tmp_path), artifacts=False)
+    cache = CompileCache(root=str(tmp_path))
     cache.compile(TAK, CompilerConfig())
     cache.compile("(+ 1 2)", CompilerConfig())
     entries = cache.entries()
     with open(entries[0].path, "wb") as handle:
         handle.write(b"garbage")
 
-    fresh = CompileCache(root=str(tmp_path), artifacts=False)
+    fresh = CompileCache(root=str(tmp_path))
     report = fresh.verify()
     assert report["scanned"] == 2
     assert report["ok"] == 1

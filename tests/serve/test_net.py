@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.config import ServeConfig
+from repro.config import CompilerConfig, ServeConfig
 from repro.observe.reqtrace import ReqTracer, TailSampler
 from repro.observe.spanstore import (
     SpanStore,
@@ -23,6 +23,7 @@ from repro.observe.spanstore import (
     iter_records,
     load_trace,
 )
+from repro.serve.cache import cache_key
 from repro.serve.net import BackgroundServer
 from repro.serve.net.admission import AdmissionController
 from repro.serve.net.loadgen import (
@@ -120,6 +121,22 @@ def test_protocol_error_and_unknown_op(server):
     )
     response = client.request("not a dict")
     assert response["error_kind"] == "protocol"
+    client.close()
+
+
+def test_a_retired_config_field_is_a_bad_request(server):
+    # artifact_cache went with the executable-artifact tier: a request
+    # that still names it is refused, and the daemon keeps serving.
+    client = _Client(server.address)
+    response = client.request(
+        {"id": 1, "op": "run", "source": "(+ 1 2)",
+         "config": {"artifact_cache": False}}
+    )
+    assert response["id"] == 1 and not response["ok"]
+    assert response["error_kind"] == "protocol"
+    assert "artifact_cache" in response["error"]
+    response = client.request({"id": 2, "op": "run", "source": "(+ 20 22)"})
+    assert response["ok"] and response["value"] == "42"
     client.close()
 
 
@@ -346,6 +363,54 @@ def test_cancelling_a_leader_keeps_the_flight_for_its_follower():
         assert stats["pool"]["cancelled"] == 0
         leader.close()
         follower.close()
+
+
+def test_submits_reach_an_idle_worker_while_another_task_is_out():
+    # The pool bridge sleeps on the result pipe and a wake pipe, so a
+    # request reaches the idle worker at once even while the other
+    # worker's task is out, instead of waiting out the 20 ms sweep.
+    with BackgroundServer(jobs=2, disk_cache=False) as bg:
+        holder = _Client(bg.address)
+        holder.send(
+            {"id": "f", "op": "run", "source": "(define (f) (f)) (f)",
+             "timeout": 3}
+        )
+        # Answered once the run has reached the pool: one worker is held.
+        assert holder.request({"id": "p", "op": "ping"})["pong"]
+        client = _Client(bg.address)
+        warm = client.request({"id": "w", "op": "compile", "source": "(quote x)"})
+        assert warm["ok"]
+        started = time.perf_counter()
+        for i in range(50):
+            response = client.request(
+                {"id": i, "op": "compile", "source": "(quote x)"}
+            )
+            assert response["ok"] and response["cached"], response
+        elapsed = time.perf_counter() - started
+        assert elapsed < 0.4, f"50 memory hits took {elapsed:.2f}s"
+        held = holder.recv_response()
+        assert held["id"] == "f" and held["error_kind"] == "timeout"
+        client.close()
+        holder.close()
+
+
+@pytest.mark.parametrize("dedup", [True, False], ids=["dedup", "no-dedup"])
+def test_a_client_key_never_names_the_cache_entry(dedup):
+    # The daemon hands its workers the cache key it computed; a "key"
+    # in the client's request must not stand in for it.
+    with BackgroundServer(
+        jobs=1, disk_cache=False, config=ServeConfig(dedup=dedup)
+    ) as bg:
+        client = _Client(bg.address)
+        first = client.request({"id": 1, "op": "run", "source": "(+ 20 22)"})
+        assert first["ok"] and first["value"] == "42"
+        other = cache_key("(+ 20 22)", CompilerConfig())
+        response = client.request(
+            {"id": 2, "op": "run", "source": "(* 6 7 2)", "key": other}
+        )
+        assert response["ok"] and response["value"] == "84"
+        assert response["cached"] is False
+        client.close()
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from repro.errors import CompilerError
 from repro.fuzz.genprog import generate_program
 from repro.pipeline import compile_source, run_compiled
 from repro.runtime.values import SchemeError
+from repro.serve.cache import deserialize_compiled, serialize_compiled
 from repro.sexp.writer import write_datum
-from repro.vm.artifact import build_artifact, load_artifact
 from repro.vm.machine import VMError
 from repro.vm.aotemit import EmitInfo, emit_module, emit_module_info
 from tests.vm import test_machine
@@ -103,12 +103,12 @@ def test_scheme_error_names_procedure_on_every_path(tmp_path):
 def test_unspellable_literals_on_every_path(source, tmp_path):
     """``inf``/``nan`` have no Python literal and their written forms
     read back as symbols; a 5000-digit integer has no ``repr``: the
-    fast loop, an artifact reload, and the emitted module must all
-    return the legacy loop's value."""
+    fast loop, a reload from the compile cache's serialized form, and
+    the emitted module must all return the legacy loop's value."""
     compiled = compile_source(source)
     expected = write_datum(run_compiled(compiled, vm_fast=False).value)
     assert write_datum(run_compiled(compiled, vm_fast=True).value) == expected
-    reloaded = load_artifact(build_artifact(compiled))
+    reloaded = deserialize_compiled(serialize_compiled(compiled))
     assert write_datum(run_compiled(reloaded).value) == expected
     module = _import_emitted(emit_module(compiled, "literal"), tmp_path, "literal")
     assert write_datum(module.run().value) == expected
