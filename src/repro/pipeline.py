@@ -10,11 +10,14 @@ library would be in a whole-program compiler.
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from typing import Any, Dict, Optional
 
 from repro.astnodes import Expr, Program, copy_expr, count_nodes
 from repro.backend.codegen import CompiledProgram, generate_program
 from repro.config import CompilerConfig
+from repro.errors import CompilerError
 from repro.alloc import ProgramAllocation, allocate_program
 from repro.frontend.analyze import check_scopes, mark_tail_calls
 from repro.frontend.assignconvert import assignment_convert
@@ -74,12 +77,27 @@ class ExecutionResult:
         return f"<ExecutionResult value={self.value!r} {self.counters!r}>"
 
 
+@contextmanager
+def _nesting_limit():
+    """The reader is iterative, but the passes after it recurse over
+    the program: one nested past Python's recursion limit is refused
+    with a :class:`CompilerError`, not a ``RecursionError``."""
+    try:
+        yield
+    except RecursionError:
+        raise CompilerError(
+            "program is nested too deeply to compile "
+            f"(past Python's recursion limit of {sys.getrecursionlimit()})"
+        ) from None
+
+
 def expand_source(source: str, prelude: bool = True) -> Expr:
     """Front half of the pipeline: text to expanded, tail-marked core AST."""
     text = (PRELUDE + "\n" + source) if prelude else source
     forms = read_all(text)
-    expr = expand_program(forms)
-    mark_tail_calls(expr)
+    with _nesting_limit():
+        expr = expand_program(forms)
+        mark_tail_calls(expr)
     return expr
 
 
@@ -95,6 +113,8 @@ def compile_source(
     *tracer* (a :class:`repro.observe.Tracer`) records one span per
     pass, each carrying per-pass stats, under one ``compile`` span;
     the default null tracer records nothing and costs nothing.
+    A program nested too deeply for the passes raises
+    :class:`CompilerError`.
     """
     config = config or CompilerConfig()
     tracer = tracer or NULL_TRACER
@@ -104,11 +124,12 @@ def compile_source(
             forms = read_all(text)
         if tracer.enabled:
             sp.set(forms=len(forms))
-        with tracer.span("expand") as sp:
-            expr = expand_program(forms)
-        if tracer.enabled:
-            sp.set(nodes=count_nodes(expr))
-        return _lower(expr, config, tracer)
+        with _nesting_limit():
+            with tracer.span("expand") as sp:
+                expr = expand_program(forms)
+            if tracer.enabled:
+                sp.set(nodes=count_nodes(expr))
+            return _lower(expr, config, tracer)
 
 
 def compile_core(

@@ -42,7 +42,7 @@ import tempfile
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro import __version__
 from repro.backend.codegen import CompiledProgram
@@ -403,15 +403,25 @@ class CompileCache:
 
     def clear(self) -> int:
         """Drop every entry (memory and disk).  Returns the number of
-        disk entries removed — the explicit invalidation command.  An
-        ``artifacts/`` directory left by builds that kept a second,
-        executable tier is deleted too: nothing else walks it."""
+        disk entries removed — the explicit invalidation command.  The
+        emptied ``objects/<k[:2]>`` shard directories go too, and so
+        does an ``artifacts/`` directory left by builds that kept a
+        second, executable tier: nothing else walks it."""
         removed = 0
         for entry in self.entries():
             self._discard(entry.path)
             removed += 1
         self._memory.clear()
         if self.root is not None:
+            objects = os.path.join(self.root, "objects")
+            if os.path.isdir(objects):
+                for shard in os.listdir(objects):
+                    try:
+                        # Only an empty directory goes: a concurrent
+                        # writer's fresh entry stays.
+                        os.rmdir(os.path.join(objects, shard))
+                    except OSError:
+                        pass
             shutil.rmtree(os.path.join(self.root, "artifacts"), ignore_errors=True)
         return removed
 
@@ -445,9 +455,3 @@ class CompileCache:
     def __repr__(self) -> str:
         where = self.root if self.disk else "memory-only"
         return f"<CompileCache {where} {self.stats.as_dict()}>"
-
-
-def iter_keys(sources, config: Optional[CompilerConfig] = None) -> Iterator[str]:
-    """Cache keys for many sources under one config (warm-up helper)."""
-    for source in sources:
-        yield cache_key(source, config)

@@ -3,9 +3,9 @@
 ``repro serve --tcp`` accepts socket connections; ``repro serve
 --stdio`` (:mod:`repro.serve.stdio`) hands the same core a single
 connection made of stdin and stdout.  Everything else — the protocol,
-control ops, admission, single-flight dedup, request tracing, metrics
-dumps, the ``daemon-error`` flight dump and the drain — exists once,
-here, for both transports.
+control ops, admission, the cache-key memo, single-flight dedup,
+request tracing, metrics dumps, the ``daemon-error`` flight dump and
+the drain — exists once, here, for both transports.
 
 Protocol, one JSON document per line in each direction:
 
@@ -72,7 +72,8 @@ import signal
 import sys
 import threading
 import time
-from typing import Any, Callable, Dict, Optional, Set
+from collections import OrderedDict
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro import __version__
 from repro.config import CompilerConfig, ServeConfig
@@ -112,6 +113,54 @@ _METRICS_DUMP_INTERVAL = 5.0
 #: Longest the pool bridge sleeps between deadline/liveness sweeps while
 #: a task is out (a result or a new command wakes it sooner).
 _SWEEP_S = 0.02
+
+#: Most source text the cache-key memo holds, counted in characters
+#: (never more than the UTF-8 bytes of the lines that carried them):
+#: eight request lines of the largest size accepted.
+_KEY_MEMO_BYTES = 8 << 20
+
+
+class _KeyMemo:
+    """An LRU memo from (source text, prelude flag, config fingerprint)
+    to the cache key of that text, bounded by the total length of the
+    texts it holds (:data:`_KEY_MEMO_BYTES`, read at each insert).  A
+    text seen again costs one dict lookup instead of a read, a write
+    and a hash.  Only keys that were computed are remembered, so a text
+    that did not read is read again every time it comes."""
+
+    def __init__(self) -> None:
+        self._keys: "OrderedDict[Tuple[str, bool, str], str]" = OrderedDict()
+        self.held = 0  # total length of the texts remembered
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, memo_key: Tuple[str, bool, str]) -> Optional[str]:
+        key = self._keys.get(memo_key)
+        if key is None:
+            self.misses += 1
+            return None
+        self._keys.move_to_end(memo_key)
+        self.hits += 1
+        return key
+
+    def remember(self, memo_key: Tuple[str, bool, str], key: str) -> None:
+        bound = _KEY_MEMO_BYTES
+        size = len(memo_key[0])
+        if size > bound:
+            return
+        self._keys[memo_key] = key
+        self.held += size
+        while self.held > bound:
+            (text, _, _), _ = self._keys.popitem(last=False)
+            self.held -= len(text)
+
+    def stats(self) -> Dict[str, int]:
+        return {
+            "entries": len(self._keys),
+            "held": self.held,
+            "hits": self.hits,
+            "misses": self.misses,
+        }
 
 
 class _PoolBridge:
@@ -391,6 +440,8 @@ class NetServer:
             registry=self.registry,
         )
         self.flights = FlightTable()
+        self.key_memo = _KeyMemo()
+        self._default_fingerprint = CompilerConfig().fingerprint()
         self._pool_kwargs = dict(
             jobs=jobs,
             cache=cache,
@@ -685,22 +736,34 @@ class NetServer:
 
     # -- work requests --------------------------------------------------
 
-    def _cache_key(self, request: Request) -> Optional[str]:
+    def _cache_key(self, request: Request) -> Tuple[Optional[str], str]:
         """The request's compile-cache key (canonical source + config
-        fingerprint + version), the base of its single-flight identity.
-        None when dedup is off or the source cannot even be
+        fingerprint + version), the base of its single-flight identity,
+        and how it was found: ``"memo"`` (the text was seen before),
+        ``"read"`` (read, written and hashed now) or ``"none"``.  The
+        key is None when dedup is off or the source cannot even be
         canonicalized — those requests fly alone, and a worker
         classifies the error."""
         if not self.config.dedup:
-            return None
+            return None, "none"
+        config = request.config
         try:
-            return cache_key(
+            memo_key = (
                 request.source,
-                request.config or CompilerConfig(),
-                request.prelude,
+                bool(request.prelude),
+                self._default_fingerprint if config is None
+                else config.fingerprint(),
+            )
+            key = self.key_memo.get(memo_key)
+            if key is not None:
+                return key, "memo"
+            key = cache_key(
+                request.source, config or CompilerConfig(), request.prelude
             )
         except Exception:  # noqa: BLE001 - unparseable/odd source: no dedup
-            return None
+            return None, "none"
+        self.key_memo.remember(memo_key, key)
+        return key, "read"
 
     def _admit(
         self, conn: _Connection, request: Request, tenant: str, trace=None
@@ -711,7 +774,7 @@ class NetServer:
         self.requests += 1
         started = time.monotonic()
         dedup_ns = trace.now_ns() if trace is not None else 0
-        ckey = self._cache_key(request)
+        ckey, found = self._cache_key(request)
         # The op and budget also determine the answer.
         key = (
             f"{ckey}:{request.op}:{request.max_instructions}"
@@ -741,7 +804,7 @@ class NetServer:
             wait_ns = trace.now_ns()
             trace.record(
                 "dedup", dedup_ns, wait_ns - dedup_ns,
-                role="leader" if leader else "follower",
+                role="leader" if leader else "follower", key=found,
             )
         # This request's own view of the flight: cancelling it withdraws
         # the request without touching what other waiters await.
@@ -904,6 +967,7 @@ class NetServer:
             "draining": self._draining,
             "admission": self.admission.stats(),
             "singleflight": self.flights.stats(),
+            "key_memo": self.key_memo.stats(),
             "uptime_s": time.monotonic() - self.started_at,
         }
 

@@ -45,75 +45,97 @@ def _render(datum: Any, write: bool) -> str:
 
 
 def _emit(datum: Any, write: bool, out: List[str]) -> None:
-    if datum is True:
-        out.append("#t")
-    elif datum is False:
-        out.append("#f")
-    elif datum is NIL:
-        out.append("()")
-    elif isinstance(datum, int):
-        try:
-            out.append(str(datum))
-        except ValueError:
-            out.append(_long_integer_text(datum))
-    elif isinstance(datum, float):
-        out.append(_format_flonum(datum))
-    elif isinstance(datum, Symbol):
-        out.append(datum.name)
-    elif isinstance(datum, MutableString):
-        if write:
-            out.append('"')
-            for ch in datum.chars:
-                out.append(_STRING_ESCAPES.get(ch, ch))
-            out.append('"')
+    """Append the text of *datum* to *out*.  The lists and vectors being
+    written wait on an explicit stack, innermost last, so nesting depth
+    is bounded by memory, not by the recursion limit."""
+    # The innermost open list or vector: its items, the index of the
+    # next one, and its dotted tail (or NIL).  Outer ones are stacked.
+    items: Any = ()
+    index = 0
+    tail: Any = NIL
+    stack: List[tuple] = []
+    while True:
+        if isinstance(datum, Symbol):
+            out.append(datum.name)
+        elif datum is True:
+            out.append("#t")
+        elif datum is False:
+            out.append("#f")
+        elif datum is NIL:
+            out.append("()")
+        elif isinstance(datum, int):
+            try:
+                out.append(str(datum))
+            except ValueError:
+                out.append(_long_integer_text(datum))
+        elif isinstance(datum, float):
+            out.append(_format_flonum(datum))
+        elif isinstance(datum, MutableString):
+            if write:
+                out.append('"')
+                for ch in datum.chars:
+                    out.append(_STRING_ESCAPES.get(ch, ch))
+                out.append('"')
+            else:
+                out.append(datum.text)
+        elif isinstance(datum, Char):
+            if write:
+                out.append("#\\" + _CHAR_NAMES.get(datum.value, datum.value))
+            else:
+                out.append(datum.value)
+        elif isinstance(datum, Pair):
+            head = datum.car
+            rest = datum.cdr
+            if (
+                isinstance(head, Symbol)
+                and head.name in _QUOTE_ABBREVS
+                and isinstance(rest, Pair)
+                and rest.cdr is NIL
+            ):
+                out.append(_QUOTE_ABBREVS[head.name])
+                datum = rest.car
+                continue
+            out.append("(")
+            stack.append((items, index, tail))
+            items = []
+            while isinstance(rest, Pair):
+                items.append(rest.car)
+                rest = rest.cdr
+            index = 0
+            tail = rest
+            datum = head
+            continue
+        elif isinstance(datum, list):
+            out.append("#(")
+            if datum:
+                stack.append((items, index, tail))
+                items, index, tail = datum, 1, NIL
+                datum = datum[0]
+                continue
+            out.append(")")
+        elif isinstance(datum, Unspecified):
+            out.append("#<void>")
+        elif isinstance(datum, EofObject):
+            out.append("#<eof>")
         else:
-            out.append(datum.text)
-    elif isinstance(datum, Char):
-        if write:
-            out.append("#\\" + _CHAR_NAMES.get(datum.value, datum.value))
-        else:
-            out.append(datum.value)
-    elif isinstance(datum, Pair):
-        _emit_pair(datum, write, out)
-    elif isinstance(datum, list):
-        out.append("#(")
-        for i, item in enumerate(datum):
-            if i:
+            out.append(_render_opaque(datum))
+        # *datum* is written: go on to the next item of the innermost
+        # open list, its dotted tail, or its close.
+        while True:
+            if index < len(items):
                 out.append(" ")
-            _emit(item, write, out)
-        out.append(")")
-    elif isinstance(datum, Unspecified):
-        out.append("#<void>")
-    elif isinstance(datum, EofObject):
-        out.append("#<eof>")
-    else:
-        out.append(_render_opaque(datum))
-
-
-def _emit_pair(datum: Pair, write: bool, out: List[str]) -> None:
-    head = datum.car
-    if (
-        isinstance(head, Symbol)
-        and head.name in _QUOTE_ABBREVS
-        and isinstance(datum.cdr, Pair)
-        and datum.cdr.cdr is NIL
-    ):
-        out.append(_QUOTE_ABBREVS[head.name])
-        _emit(datum.cdr.car, write, out)
-        return
-    out.append("(")
-    node: Any = datum
-    first = True
-    while isinstance(node, Pair):
-        if not first:
-            out.append(" ")
-        _emit(node.car, write, out)
-        first = False
-        node = node.cdr
-    if node is not NIL:
-        out.append(" . ")
-        _emit(node, write, out)
-    out.append(")")
+                datum = items[index]
+                index += 1
+                break
+            if tail is not NIL:
+                out.append(" . ")
+                datum = tail
+                tail = NIL
+                break
+            if not stack:
+                return
+            out.append(")")
+            items, index, tail = stack.pop()
 
 
 def _long_integer_text(value: int) -> str:

@@ -86,6 +86,35 @@ def test_request_file_batch(tmp_path, capsys):
     assert by_id["bad"]["error_kind"] == "runtime-error"
 
 
+def test_request_file_batch_reports_reader_and_depth_errors(tmp_path, capsys):
+    depth = 10_000
+    deep_call = "(define (g x) x) " + "(g " * depth + "1" + ")" * depth
+    deep_list = (
+        "(let loop ((i 0) (acc '()))"
+        " (if (= i 2000) acc (loop (+ i 1) (list acc))))"
+    )
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text(
+        "\n".join(
+            json.dumps({"id": rid, "op": "run", "source": source})
+            for rid, source in [
+                ("dotted", "'#(1 . 2)"), ("deep-call", deep_call),
+                ("deep-list", deep_list), ("after", "(+ 20 22)"),
+            ]
+        )
+        + "\n"
+    )
+    code, out, _ = _batch(
+        capsys, str(requests), "--cache-dir", str(tmp_path / "c"), "--json"
+    )
+    assert code == 1
+    by_id = {r["id"]: r for r in json.loads(out)["responses"]}
+    assert by_id["dotted"]["error_kind"] == "read-error"
+    assert by_id["deep-call"]["error_kind"] == "compile-error"
+    assert by_id["deep-list"]["value"] == "(" * 2000 + "()" + ")" * 2000
+    assert by_id["after"]["value"] == "42"
+
+
 def test_request_file_bad_line(tmp_path, capsys):
     requests = tmp_path / "requests.jsonl"
     requests.write_text("{not json}\n")

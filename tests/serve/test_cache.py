@@ -455,6 +455,16 @@ def test_clear_invalidates_everything(tmp_path):
     assert not hit
 
 
+def test_clear_removes_the_emptied_shard_directories(tmp_path):
+    cache = CompileCache(root=str(tmp_path))
+    for n in range(6):
+        cache.compile(f"(+ {n} 1)", CompilerConfig())
+    objects = tmp_path / "objects"
+    assert len([p for p in objects.iterdir() if p.is_dir()]) >= 2
+    assert cache.clear() == 6
+    assert [p for p in objects.iterdir() if p.is_dir()] == []
+
+
 def test_clear_removes_a_leftover_artifact_tier(tmp_path):
     # A root written by a build that kept executable artifacts: no
     # walk reads artifacts/, so clear is what reclaims it.

@@ -25,6 +25,7 @@ from repro.observe.spanstore import (
 )
 from repro.serve.cache import cache_key
 from repro.serve.net import BackgroundServer
+from repro.serve.net import server as server_module
 from repro.serve.net.admission import AdmissionController
 from repro.serve.net.loadgen import (
     check_slo,
@@ -414,6 +415,130 @@ def test_a_client_key_never_names_the_cache_entry(dedup):
 
 
 # ---------------------------------------------------------------------------
+# The cache-key memo: a text the daemon has seen is not read again
+# ---------------------------------------------------------------------------
+
+
+def _count_reads(monkeypatch):
+    """The texts the daemon's front door reads into a cache key."""
+    reads = []
+
+    def counting_cache_key(source, *args, **kwargs):
+        reads.append(source)
+        return cache_key(source, *args, **kwargs)
+
+    monkeypatch.setattr(server_module, "cache_key", counting_cache_key)
+    return reads
+
+
+def _memo_stats(client):
+    return client.request({"id": "s", "op": "stats"})["stats"]["server"]["key_memo"]
+
+
+def test_a_repeated_text_is_read_once(monkeypatch):
+    reads = _count_reads(monkeypatch)
+    source = "(define (f x) (* x x)) (f 12)"
+    with BackgroundServer(jobs=1, disk_cache=False) as bg:
+        client = _Client(bg.address)
+        answers = [
+            client.request({"id": i, "op": "compile", "source": source})
+            for i in range(3)
+        ]
+        stats = _memo_stats(client)
+        client.close()
+    assert reads == [source]
+    assert all(a["ok"] for a in answers)
+    assert [a["cached"] for a in answers] == [False, True, True]
+    assert len({a["instructions"] for a in answers}) == 1
+    assert stats == {"entries": 1, "held": len(source), "hits": 2, "misses": 1}
+
+
+def test_the_memo_evicts_its_oldest_text_past_its_bound(monkeypatch):
+    reads = _count_reads(monkeypatch)
+    texts = [f"(+ {n} {n})" for n in range(10, 13)]
+    bound = 2 * len(texts[0])
+    monkeypatch.setattr(server_module, "_KEY_MEMO_BYTES", bound)
+    too_long = "(list " + " 1" * bound + ")"
+    asked = [texts[0], texts[1], texts[2], texts[1], texts[0], too_long, too_long]
+    with BackgroundServer(jobs=1, disk_cache=False) as bg:
+        client = _Client(bg.address)
+        held = []
+        for i, text in enumerate(asked):
+            response = client.request({"id": i, "op": "compile", "source": text})
+            assert response["ok"], response
+            held.append(_memo_stats(client))
+        client.close()
+    # texts[2] pushed texts[0] out; texts[1] was still held; texts[0]
+    # was read again; a text longer than the bound is never held.
+    assert reads == [texts[0], texts[1], texts[2], texts[0], too_long, too_long]
+    assert all(s["held"] <= bound for s in held)
+    assert [s["entries"] for s in held] == [1, 2, 2, 2, 2, 2, 2]
+
+
+def test_prelude_and_config_each_get_their_own_key(monkeypatch):
+    reads = _count_reads(monkeypatch)
+    source = "(define (sq x) (* x x)) (sq 7)"
+    variants = [{}, {"prelude": False}, {"config": {"num_temp_regs": 2}}]
+    with BackgroundServer(jobs=1, disk_cache=False) as bg:
+        client = _Client(bg.address)
+        answers = [
+            [
+                client.request(
+                    {"id": i, "op": "compile", "source": source, **variant}
+                )
+                for i in range(2)
+            ]
+            for variant in variants
+        ]
+        client.close()
+    assert reads == [source] * len(variants)
+    # Each variant's first ask compiles under its own key; its second
+    # is a hit on that key, with the same answer.
+    for first, again in answers:
+        assert first["ok"] and again["ok"]
+        assert (first["cached"], again["cached"]) == (False, True)
+        assert first["instructions"] == again["instructions"]
+    with_prelude, bare = answers[0][0], answers[1][0]
+    assert bare["procedures"] < with_prelude["procedures"]
+
+
+def test_a_text_that_does_not_read_is_not_remembered(monkeypatch):
+    reads = _count_reads(monkeypatch)
+    with BackgroundServer(jobs=1, disk_cache=False) as bg:
+        client = _Client(bg.address)
+        client.send({"id": 1, "op": "run", "source": "(foo"})
+        client.send({"id": 2, "op": "run", "source": "(foo"})
+        responses = [client.recv_response(), client.recv_response()]
+        stats = client.request({"id": "s", "op": "stats"})["stats"]["server"]
+        client.close()
+    assert reads == ["(foo", "(foo"]
+    assert all(r["error_kind"] == "read-error" for r in responses)
+    # Without a key the two fly alone: neither joins the other.
+    assert not any(r.get("deduped") for r in responses)
+    assert stats["singleflight"]["dedup_hits"] == 0
+    assert stats["key_memo"]["entries"] == 0
+
+
+def test_dotted_vectors_and_deep_nesting_are_program_errors():
+    # A dotted vector is a read error, a program nested past the
+    # compiler's recursion is a compile error, and the worker that
+    # refused it serves the next request.
+    depth = 10_000
+    deep = "(define (g x) x) " + "(g " * depth + "1" + ")" * depth
+    with BackgroundServer(jobs=1, disk_cache=False) as bg:
+        client = _Client(bg.address)
+        dotted = client.request({"id": 1, "op": "run", "source": "'#(1 . 2)"})
+        nested = client.request({"id": 2, "op": "run", "source": deep})
+        after = client.request({"id": 3, "op": "run", "source": "(+ 20 22)"})
+        client.close()
+    assert dotted["error_kind"] == "read-error"
+    assert "dot in vector" in dotted["error"]
+    assert nested["error_kind"] == "compile-error"
+    assert "nested too deeply" in nested["error"]
+    assert after["ok"] and after["value"] == "42"
+
+
+# ---------------------------------------------------------------------------
 # Request tracing
 # ---------------------------------------------------------------------------
 
@@ -573,6 +698,30 @@ def test_tracing_dedup_follower_has_no_worker_spans(tmp_path):
     )
     assert follower_dedup["attrs"]["role"] == "follower"
     assert {"request", "wait", "respond"} <= follower_names
+
+
+@pytest.mark.parametrize("dedup", [True, False], ids=["dedup", "no-dedup"])
+def test_tracing_dedup_span_says_which_requests_paid_for_a_read(tmp_path, dedup):
+    reqtracer = _tracer(tmp_path)
+    store_dir = str(tmp_path / "spans")
+    asked = ["(+ 20 22)", "(+ 20 22)", "(foo"]
+    with BackgroundServer(
+        jobs=1, disk_cache=False, reqtracer=reqtracer,
+        config=ServeConfig(dedup=dedup),
+    ) as bg:
+        client = _Client(bg.address)
+        keys = []
+        for i, source in enumerate(asked):
+            response = client.request({"id": i, "op": "run", "source": source})
+            records = _wait_for_trace(
+                store_dir, response["traceparent"].split("-")[0]
+            )
+            (dedup_span,) = [r for r in records if r["name"] == "dedup"]
+            keys.append(dedup_span["attrs"]["key"])
+        client.close()
+    # Read on first sight, remembered after; a text that does not read
+    # (or any text, with dedup off) has no key.
+    assert keys == (["read", "memo", "none"] if dedup else ["none"] * 3)
 
 
 def test_tail_sampling_keeps_errors_and_overloads_at_rate_zero(tmp_path):

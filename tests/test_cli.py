@@ -50,6 +50,15 @@ class TestRun:
         out = capsys.readouterr().out
         assert out == "hi\n7\n"
 
+    def test_run_prints_a_deeply_nested_value(self, tmp_path, capsys):
+        path = tmp_path / "deep.scm"
+        path.write_text(
+            "(let loop ((i 0) (acc '()))"
+            " (if (= i 2000) acc (loop (+ i 1) (list acc))))"
+        )
+        assert main(["run", str(path)]) == 0
+        assert capsys.readouterr().out == "(" * 2000 + "()" + ")" * 2000 + "\n"
+
     def test_run_stdin(self, capsys, monkeypatch):
         import io
 
@@ -122,6 +131,24 @@ class TestErrors:
         path.write_text("(set! nope 1)")
         assert main(["report", str(path)]) == 1
         assert "repro:" in capsys.readouterr().err
+
+    def test_dotted_vector_is_a_read_error(self, tmp_path, capsys):
+        path = tmp_path / "dotted.scm"
+        path.write_text("'#(1 . 2)")
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro: read error: dot in vector")
+        assert "Traceback" not in err
+
+    def test_nesting_past_the_passes_is_a_compile_error(self, tmp_path, capsys):
+        depth = 10_000
+        path = tmp_path / "deep.scm"
+        path.write_text("(define (g x) x)\n" + "(g " * depth + "1" + ")" * depth)
+        for verb in ("run", "expand"):
+            assert main([verb, str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("repro: compile error: program is nested too deeply")
+            assert "Traceback" not in err
 
 
 class TestDisasm:
