@@ -16,11 +16,10 @@ Quick start::
     print(result.counters.total_stack_refs)   # stack traffic
 
 The package root resolves its exports lazily (PEP 562): importing
-``repro`` — or any runtime submodule like ``repro.vm.aotrt`` — must
-not pull the compiler in, because AOT-emitted modules (see
-``docs/aot.md``) run with only the runtime slice of the package in
-the process.  ``from repro import compile_source`` still works; the
-import happens on first attribute access.
+``repro``, or a submodule that needs no compiler (the reader, the
+span store), does not load the compiler.  ``from repro import
+compile_source`` still works; the import happens on first attribute
+access.
 """
 
 __version__ = "1.0.0"

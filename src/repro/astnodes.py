@@ -277,8 +277,7 @@ class CodeObject:
                             the fast loop finds the code hot (until
                             then it runs from a step table that is not
                             kept here), or built up front by
-                            ``repro.vm.machine.trace_all`` and AOT
-                            modules
+                            ``repro.vm.machine.trace_all``
     """
 
     _counter = itertools.count()

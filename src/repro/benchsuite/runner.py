@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.benchsuite.programs import Benchmark, get_benchmark
 from repro.config import CompilerConfig
@@ -116,8 +116,3 @@ def run_benchmark(
                 f"{bench.name} under {config}: produced {got}, expected {expect}"
             )
     return BenchmarkRun(bench, config, result)
-
-
-def classification_row(run: BenchmarkRun) -> Tuple[int, Dict[str, float]]:
-    """Table 2 row: total activations and per-category fractions."""
-    return run.classifier.total, run.classifier.fractions()

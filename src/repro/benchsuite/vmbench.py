@@ -129,7 +129,7 @@ def collect_warm_start(
     config: Optional[CompilerConfig] = None,
     repeats: int = 3,
 ) -> Dict[str, Any]:
-    """Measure time-to-ready-to-execute under three start modes.
+    """Measure time-to-ready-to-execute under two start modes.
 
     For each benchmark, best-of-*repeats* seconds until the program
     could begin executing on the fast path (predecoded streams and
@@ -137,22 +137,16 @@ def collect_warm_start(
 
     * ``cold_s`` — nothing: full compile, predecode, blockcompile;
     * ``isa_ready_s`` — a warm disk cache: unpickle the compiled
-      program, then predecode + blockcompile;
-    * ``aot_import_s`` — importing the AOT-emitted module (after the
-      first repeat this includes Python's own bytecode cache, the
-      realistic steady state).
+      program, then predecode + blockcompile.
 
     The numbers are wall-clock and host-dependent — ``BENCH_vm.json``
     records them as informational history, and the comparison gate
     ignores this section entirely.
     """
-    import importlib.util
-    import itertools
     import os
     import tempfile
 
     from repro.serve.cache import CompileCache
-    from repro.vm.aotemit import emit_module
     from repro.vm.machine import trace_all
 
     config = config or CompilerConfig()
@@ -171,12 +165,7 @@ def collect_warm_start(
         "repeats": repeats,
         "benchmarks": {},
     }
-    totals = {
-        "cold_s": 0.0,
-        "isa_ready_s": 0.0,
-        "aot_import_s": 0.0,
-    }
-    serial = itertools.count()
+    totals = {"cold_s": 0.0, "isa_ready_s": 0.0}
     with tempfile.TemporaryDirectory(prefix="repro-warm-") as tmp:
         for seq, name in enumerate(names):
             source = BENCHMARKS[name].source
@@ -195,21 +184,9 @@ def collect_warm_start(
                 assert hit
                 trace_all(compiled)
 
-            module_path = os.path.join(tmp, f"aot{seq}.py")
-            with open(module_path, "w") as handle:
-                handle.write(emit_module(compile_source(source, config), name))
-
-            def aot_import() -> None:
-                spec = importlib.util.spec_from_file_location(
-                    f"_repro_warm_{seq}_{next(serial)}", module_path
-                )
-                module = importlib.util.module_from_spec(spec)
-                spec.loader.exec_module(module)
-
             entry = {
                 "cold_s": round(best(cold), 4),
                 "isa_ready_s": round(best(isa_ready), 4),
-                "aot_import_s": round(best(aot_import), 4),
             }
             doc["benchmarks"][name] = entry
             for key in totals:

@@ -490,8 +490,7 @@ def _bench_baseline(args: argparse.Namespace) -> int:
         totals = doc["warm_start"]["totals"]
         print(
             f"; warm start (corpus total): cold {totals['cold_s']}s, "
-            f"isa {totals['isa_ready_s']}s, "
-            f"aot import {totals['aot_import_s']}s",
+            f"isa {totals['isa_ready_s']}s",
             file=sys.stderr,
         )
     if "geomean_speedup" in doc:
@@ -515,7 +514,7 @@ def _bench_baseline(args: argparse.Namespace) -> int:
 
 def _bench_warm_start(args: argparse.Namespace) -> int:
     """``bench --warm-start`` without a baseline file: measure and print
-    the cold / ISA-cache / AOT-import table."""
+    the cold / ISA-cache table."""
     from repro.benchsuite import vmbench
 
     doc = vmbench.collect_warm_start(
@@ -526,15 +525,14 @@ def _bench_warm_start(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(doc, indent=2))
         return 0
-    header = f"{'benchmark':16s} {'cold':>9s} {'isa':>9s} {'aot-import':>11s}"
+    header = f"{'benchmark':16s} {'cold':>9s} {'isa':>9s}"
     print(header)
     print("-" * len(header))
     rows = list(doc["benchmarks"].items()) + [("total", doc["totals"])]
     for name, entry in rows:
         print(
             f"{name:16s} {entry['cold_s'] * 1e3:>7.1f}ms "
-            f"{entry['isa_ready_s'] * 1e3:>7.1f}ms "
-            f"{entry['aot_import_s'] * 1e3:>9.1f}ms"
+            f"{entry['isa_ready_s'] * 1e3:>7.1f}ms"
         )
     return 0
 
@@ -921,84 +919,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_aot(args: argparse.Namespace) -> int:
-    if args.action == "build":
-        return _aot_build(args)
-    return _aot_run(args)
-
-
-def _aot_build(args: argparse.Namespace) -> int:
-    from repro.observe.catalog import declare
-    from repro.observe.metrics import get_registry
-    from repro.serve.cache import cache_key
-    from repro.vm.aotemit import EmitInfo, emit_module_info
-
-    if args.bench:
-        from repro.benchsuite import BENCHMARKS
-
-        if args.bench not in BENCHMARKS:
-            print(f"repro: aot build: unknown benchmark {args.bench!r}",
-                  file=sys.stderr)
-            return 2
-        source = BENCHMARKS[args.bench].source
-        prelude = True
-    else:
-        if not args.file:
-            print("repro: aot build: give a source file (or --bench NAME)",
-                  file=sys.stderr)
-            return 2
-        source = _read_program(args.file)
-        prelude = not args.no_prelude
-    config = _config_from(args)
-    if args.no_direct_calls:
-        config = config.with_(aot_direct_calls=False)
-    key = cache_key(source, config, prelude=prelude)
-    compiled = compile_source(source, config, prelude=prelude)
-    info = EmitInfo(0, 0, 0, 0)
-    started = time.perf_counter()
-    module_source = emit_module_info(compiled, key, info)
-    elapsed = time.perf_counter() - started
-    registry = get_registry()
-    if registry.enabled:
-        declare(registry, "repro_aot_emit_seconds").observe(elapsed)
-    _write_out(args.out, module_source)
-    print(
-        f"; aot: {info.codes} code object(s), {info.traces} trace(s), "
-        f"{info.direct_calls}/{info.call_sites} call site(s) direct "
-        f"in {elapsed * 1e3:.1f} ms",
-        file=sys.stderr,
-    )
-    if args.out and args.out != "-":
-        print(f"; module written to {args.out}", file=sys.stderr)
-    return 0
-
-
-def _aot_run(args: argparse.Namespace) -> int:
-    """Execute an emitted module in a fresh interpreter, so the
-    compiler is provably absent from the executing process (its
-    ``--json`` document lists the loaded ``repro_modules``; CI asserts
-    no compiler module is among them)."""
-    import os
-    import subprocess
-
-    import repro
-
-    if not args.file:
-        print("repro: aot run: give an emitted module path", file=sys.stderr)
-        return 2
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = pkg_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    cmd = [sys.executable, args.file]
-    if args.json:
-        cmd.append("--json")
-    if args.max_instructions is not None:
-        cmd.extend(["--max-instructions", str(args.max_instructions)])
-    return subprocess.call(cmd, env=env)
-
-
 def cmd_cache(args: argparse.Namespace) -> int:
     from repro.serve.cache import CompileCache, default_cache_dir
 
@@ -1283,7 +1203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--warm-start",
         action="store_true",
-        help="measure cold vs ISA-cache vs AOT-import "
+        help="measure cold vs ISA-cache "
         "startup latency (alone: print the table; with --baseline-out: "
         "record a warm_start section)",
     )
@@ -1647,47 +1567,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="--spawn: tail-sampling keep rate for ok traces (default 1.0)",
     )
     p_load.set_defaults(fn=cmd_loadgen)
-
-    p_aot = sub.add_parser(
-        "aot",
-        help="ahead-of-time compile a program to a standalone Python module",
-    )
-    p_aot.add_argument(
-        "action",
-        choices=["build", "run"],
-        help="build: emit a module; run: execute an emitted module in a "
-        "fresh compiler-free interpreter",
-    )
-    p_aot.add_argument(
-        "file",
-        nargs="?",
-        help="build: Scheme source (or - for stdin); run: emitted module path",
-    )
-    p_aot.add_argument(
-        "--bench",
-        metavar="NAME",
-        help="build: take the program from the benchmark suite",
-    )
-    p_aot.add_argument(
-        "-o", "--out", metavar="PATH",
-        help="build: output module path (default: stdout)",
-    )
-    p_aot.add_argument(
-        "--no-direct-calls",
-        action="store_true",
-        help="build: keep every call site on the dynamic dispatch path",
-    )
-    p_aot.add_argument(
-        "--json",
-        action="store_true",
-        help="run: print the emitted module's value/counters JSON",
-    )
-    p_aot.add_argument(
-        "--max-instructions", type=int, default=None, metavar="N",
-        help="run: instruction budget for the emitted module",
-    )
-    _add_config_flags(p_aot)
-    p_aot.set_defaults(fn=cmd_aot)
 
     p_cache = sub.add_parser("cache", help="inspect or prune the compile cache")
     p_cache.add_argument(

@@ -112,12 +112,6 @@ class CompilerConfig:
         Enable the §6 future-work pass: known procedures' free
         variables become extra (register) arguments, bounded by
         ``lambda_lift_max_params``.
-    aot_direct_calls:
-        Let the AOT emitter (``repro.vm.aotemit``) collapse call sites
-        whose callee ``vm/callgraph.py`` proves statically into direct
-        trampoline transfers (no closure type/arity test at run time).
-        Off: every call dispatches dynamically, as the fast loop does.
-        Also absent from :meth:`summary`.
     """
 
     num_arg_regs: int = 6
@@ -132,7 +126,6 @@ class CompilerConfig:
     save_convention: str = "caller"
     branch_prediction: Optional[str] = None
     vm_fast: bool = True
-    aot_direct_calls: bool = True
     cost_model: CostModel = field(default_factory=CostModel)
 
     def __post_init__(self) -> None:

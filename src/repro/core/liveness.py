@@ -229,18 +229,6 @@ def _split_prim_operands(
     return frozenset(deferred), ordered
 
 
-def _has_call(expr: Expr) -> bool:
-    """True iff *expr* contains a procedure call (which clobbers the
-    caller-save registers)."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Call):
-            return True
-        stack.extend(children(node))
-    return False
-
-
 def _referenced_vars(expr: Expr, alloc: "CodeAllocation") -> FrozenSet[Var]:
     """Free variables of a post-closure-conversion expression,
     including the ``cp`` pseudo-variable for closure-slot reads.

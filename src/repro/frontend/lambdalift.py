@@ -278,19 +278,6 @@ def _called_siblings(lam: Lambda, siblings: List[Var]) -> List[Var]:
     return out
 
 
-def _lift_one(fix: Fix, var: Var, lam: Lambda, free: List[Var]) -> None:
-    """Add *free* as parameters of *lam* and extend every call site.
-
-    Call sites inside the lifted procedure's own body refer to the new
-    parameters; call sites elsewhere refer to the original outer
-    variables (still in scope there).
-    """
-    fresh = {fv: _fresh_like(fv) for fv in free}
-    _substitute(lam.body, fresh)
-    lam.params.extend(fresh[fv] for fv in free)
-    _extend_call_sites(fix, var, free, fresh, inside=None)
-
-
 def _fresh_like(var: Var) -> Var:
     fresh = Var(var.name + "^")
     fresh.referenced = True
@@ -305,40 +292,3 @@ def _substitute(expr: Expr, mapping: Dict[Var, Var]) -> None:
         return
     for child in _children(expr):
         _substitute(child, mapping)
-
-
-def _extend_call_sites(
-    root: Expr,
-    target: Var,
-    free: List[Var],
-    fresh: Dict[Var, Var],
-    inside: Optional[Lambda],
-) -> None:
-    """Append the lifted arguments at every direct call of *target*.
-
-    Within the lifted lambda itself the extra arguments are its own new
-    parameters; everywhere else they are the original variables."""
-    lifted_lambda = None
-    if isinstance(root, Fix):
-        for v, lam in zip(root.vars, root.lambdas):
-            if v is target:
-                lifted_lambda = lam
-
-    def visit(node: Expr, in_lifted: bool) -> None:
-        if isinstance(node, Call) and isinstance(node.fn, Ref) and node.fn.var is target:
-            for fv in free:
-                source = fresh[fv] if in_lifted else fv
-                source.referenced = True
-                node.args.append(Ref(source))
-        if isinstance(node, Lambda):
-            visit(node.body, in_lifted or node is lifted_lambda)
-            return
-        if isinstance(node, Fix):
-            for lam in node.lambdas:
-                visit(lam, in_lifted or lam is lifted_lambda)
-            visit(node.body, in_lifted)
-            return
-        for child in _children(node):
-            visit(child, in_lifted)
-
-    visit(root, False)

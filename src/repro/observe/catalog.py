@@ -40,10 +40,6 @@ CATALOG: Tuple[Tuple[str, str, Tuple[str, ...], Optional[Sequence[float]], str],
      BYTES_BUCKETS, "Serialized size of cache entries written."),
     ("repro_compile_seconds", "histogram", (),
      LATENCY_BUCKETS, "Wall-clock seconds per uncached compile."),
-    # -- AOT emitter (repro.vm.aotemit) --------------------------------
-    ("repro_aot_emit_seconds", "histogram", (),
-     LATENCY_BUCKETS, "Seconds to emit one AOT Python module "
-                      "(repro aot build)."),
     # -- worker pool (repro.serve.pool) --------------------------------
     ("repro_pool_submitted", "counter", (),
      None, "Tasks submitted to the pool scheduler."),

@@ -260,9 +260,6 @@ class WorkerPool:
             return []
         return self._poll(timeout, wake)
 
-    def wait_all(self) -> List[TaskResult]:
-        return list(self.results())
-
     @property
     def queue_depth(self) -> int:
         return len(self._pending)

@@ -37,6 +37,13 @@ from repro.serve.pool import TaskResult, WorkerPool
 OPS = ("compile", "run")
 
 
+def _check_number(name: str, value: Any, types, noun: str) -> None:
+    """Raise ``TypeError`` unless *value* is None or of *types*.  A
+    bool is not a number here, though Python counts it as an int."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
+        raise TypeError(f"{name} must be null or {noun}, not {type(value).__name__}")
+
+
 @dataclass
 class Request:
     """One unit of service work."""
@@ -50,8 +57,16 @@ class Request:
     timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # A mistyped field fails here, at intake, and never reaches a
+        # worker or the pool's deadline sweep.
         if self.op not in OPS:
             raise ValueError(f"unknown op {self.op!r} (expected one of {OPS})")
+        if not isinstance(self.source, str):
+            raise TypeError(f"source must be a string, not {type(self.source).__name__}")
+        if not isinstance(self.prelude, bool):
+            raise TypeError(f"prelude must be true or false, not {type(self.prelude).__name__}")
+        _check_number("max_instructions", self.max_instructions, int, "an integer")
+        _check_number("timeout", self.timeout, (int, float), "a number")
 
     def payload(self) -> Dict[str, Any]:
         return {

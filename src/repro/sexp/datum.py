@@ -23,7 +23,7 @@ Python ``is`` and mutation behaves like Scheme's.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Iterable, Iterator, List, Optional
 
 
 class Symbol:
@@ -207,16 +207,6 @@ def pairs_to_list(datum: Any) -> List[Any]:
     if node is not NIL:
         raise ValueError("improper list")
     return out
-
-
-def pairs_to_improper(datum: Any) -> Tuple[List[Any], Any]:
-    """Split a possibly-improper list into (proper prefix, final tail)."""
-    out: List[Any] = []
-    node = datum
-    while isinstance(node, Pair):
-        out.append(node.car)
-        node = node.cdr
-    return out, node
 
 
 def is_list(datum: Any) -> bool:

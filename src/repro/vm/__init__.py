@@ -3,10 +3,8 @@ reference accounting, a load-latency cycle model, and the dynamic
 call-graph classifier behind Table 2.
 
 Exports resolve lazily (PEP 562): ``Machine`` lives in
-``repro.vm.machine``, which imports the trace compiler — but the
-runtime slice (``repro.vm.aotrt``, ``counters``, ``callgraph``) must
-be importable without dragging the compiler in, because AOT-emitted
-modules execute with no compiler in-process (see ``docs/aot.md``).
+``repro.vm.machine``, which imports the trace compiler, and importing
+``repro.vm`` for ``Counters`` or the classifier does not load it.
 """
 
 _EXPORTS = {

@@ -39,8 +39,8 @@ instead of one bump per instruction.  Only branch mispredicts and
 continuation invokes are dynamic, and both are accounted by the
 trampoline (a taken-branch exit carries a flag).
 
-The trampoline (:func:`repro.vm.aotrt.run_blocks`, shared by the
-in-process fast loop and AOT-emitted modules) executes a program as::
+The trampoline (:func:`repro.vm.trampoline.run_blocks`) executes a
+program as::
 
     fn, exits = blocks[pc]                      # one indexed fetch
     cycle, ex = fn(regs, ready, stack, sp, cycle, port)
@@ -97,7 +97,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.runtime.primitives import PRIMITIVES
 from repro.sexp.datum import NIL, Pair, UNSPECIFIED
-from repro.vm.aotrt import (
+from repro.vm.trampoline import (
     ACC_BRANCH,
     ACC_CALL,
     ACC_CC_CAP,
@@ -867,17 +867,7 @@ def run_steps(steps, regs, ready, stack, sp, cycle, port):
             return cycle + dc, b[0] if taken else b[1]
 
 
-#: Register-writing opcodes whose destination is operand 1 — the set
-#: the static-callee tracker must watch for CP clobbers.
-_DST_OPS = frozenset((
-    OP_LD, OP_MOV, OP_LI, OP_PRIM0, OP_PRIM1, OP_PRIM2, OP_PRIM3,
-    OP_PRIMN, OP_PRIMX, OP_CLO_REF, OP_CLOSURE, OP_CLO_ALLOC, OP_LD_OUT,
-))
-
-
-def _build_trace(
-    start, instrs, n, leader_set, pending, wtr, callees=None, slot_env=None
-):
+def _build_trace(start, instrs, n, leader_set, pending, wtr):
     """Emit one trace into *wtr*; returns its exit table.
 
     Exits are ``(kind, arg, nexec, counts, taken)``: the trampoline
@@ -885,24 +875,10 @@ def _build_trace(
     when leaving through this exit, the counter deltas accumulated by
     then, and whether the exit is a taken conditional branch (for
     mispredict accounting).
-
-    When *callees* (a dict) is given, the builder additionally tracks
-    which registers provably hold a closure of a statically-known
-    ``CodeObject`` along the trace's fall-through path:
-    ``closure``/``clo_alloc`` establish one, ``mov`` propagates,
-    ``clo_ref`` consults *slot_env* (this code's proven closure-slot
-    contents from :func:`repro.vm.callgraph.closure_slot_callees`),
-    and every other register write clobbers.  Each call/tail-call exit
-    records the proven callee of the closure-pointer register (or
-    None) under ``(start, exit_index)`` — the AOT emitter collapses
-    those sites into direct calls (see :mod:`repro.vm.aotemit`); the
-    in-process fast loop ignores them.
     """
     exits: List[Tuple[int, Any, int, Tuple[Tuple[int, int], ...], bool]] = []
     ninstr = 0
     pc = start
-    cp = wtr.cp
-    defs: Dict[int, Any] = {}  # register -> statically proven CodeObject
     while True:
         if pc >= n:
             # Run off the end: exit to pc n, where the trampoline's
@@ -921,7 +897,6 @@ def _build_trace(
             if op == OP_LDBRF or op == OP_LDBRT:
                 wtr.emit((OP_LD, ins[1], ins[2], ins[3]))
                 ninstr += 1
-                defs.pop(ins[1], None)
                 src, target = ins[1], ins[4]
                 negate = op == OP_LDBRT
             else:
@@ -958,8 +933,6 @@ def _build_trace(
             wtr.count(ACC_CALL)
             exits.append((K_CALL, (ins[1], pc + 1), ninstr, wtr.snapshot(), False))
             wtr.return_exit(len(exits) - 1)
-            if callees is not None:
-                callees[(start, len(exits) - 1)] = defs.get(cp)
             break
         elif op == OP_TAILCALL:
             ninstr += 1
@@ -967,8 +940,6 @@ def _build_trace(
             wtr.count(ACC_TAIL)
             exits.append((K_TAIL, ins[1], ninstr, wtr.snapshot(), False))
             wtr.return_exit(len(exits) - 1)
-            if callees is not None:
-                callees[(start, len(exits) - 1)] = defs.get(cp)
             break
         elif op == OP_CALLCC:
             ninstr += 1
@@ -994,44 +965,11 @@ def _build_trace(
             for comp in _expand(ins):
                 wtr.emit(comp)
                 ninstr += 1
-                cop = comp[0]
-                if cop == OP_CLOSURE or cop == OP_CLO_ALLOC:
-                    defs[comp[1]] = comp[2]
-                elif cop == OP_MOV:
-                    value = defs.get(comp[2])
-                    if value is None:
-                        defs.pop(comp[1], None)
-                    else:
-                        defs[comp[1]] = value
-                elif cop == OP_CLO_REF:
-                    value = slot_env.get(comp[2]) if slot_env else None
-                    if value is None:
-                        defs.pop(comp[1], None)
-                    else:
-                        defs[comp[1]] = value
-                elif cop == OP_SWAP:
-                    # A permutation moves proven facts exactly as it
-                    # moves values.
-                    a, b = comp[1], comp[2]
-                    va, vb = defs.pop(a, None), defs.pop(b, None)
-                    if vb is not None:
-                        defs[a] = vb
-                    if va is not None:
-                        defs[b] = va
-                elif cop == OP_PERMI:
-                    rs = comp[1]
-                    olds = [defs.pop(r, None) for r in rs]
-                    for i, r in enumerate(rs):
-                        value = olds[(i + 1) % len(rs)]
-                        if value is not None:
-                            defs[r] = value
-                elif cop in _DST_OPS:
-                    defs.pop(comp[1], None)
             pc += 1
     return exits
 
 
-def _build_traces(instrs, writer, callees=None, slot_env=None):
+def _build_traces(instrs, writer):
     """Yield ``(start, writer, exits)`` for every trace of one fused
     stream, in build order; ``writer(start)`` makes each trace's
     writer.  Both tiers build through here, so a step table and a trace
@@ -1047,74 +985,47 @@ def _build_traces(instrs, writer, callees=None, slot_env=None):
             continue
         built.add(start)
         wtr = writer(start)
-        exits = _build_trace(
-            start, instrs, n, leader_set, pending, wtr, callees, slot_env
-        )
+        exits = _build_trace(start, instrs, n, leader_set, pending, wtr)
         yield start, wtr, tuple(exits)
 
 
 class TraceModule:
     """One code object's generated trace module, before instantiation:
-    the source text, the trace records (``(start, fn_name, exits)``),
-    the const-pool bindings the source references, and — when built
-    with ``track_callees`` — the statically-proven callee map.  This
-    is the unit :func:`compile_blocks` compiles and instantiates on
-    the live code object once it turns hot, and the unit the AOT
-    emitter splices into a whole-program module
-    (:mod:`repro.vm.aotemit`).  It is never persisted: the compile
+    the source text, the trace records (``(start, fn_name, exits)``)
+    and the const-pool bindings the source references.  This is the
+    unit :func:`compile_blocks` compiles and instantiates on the live
+    code object once it turns hot.  It is never persisted: the compile
     cache stores the ISA only."""
 
-    __slots__ = ("n", "records", "source", "const_values", "callees")
+    __slots__ = ("n", "records", "source", "const_values")
 
-    def __init__(self, n, records, source, const_values, callees) -> None:
+    def __init__(self, n, records, source, const_values) -> None:
         self.n = n
         self.records = records
         self.source = source
         self.const_values = const_values
-        self.callees = callees
 
 
-def build_trace_module(
-    code,
-    cost_model,
-    cp_index: int,
-    name_prefix: str = "_b",
-    consts: Optional[_ConstPool] = None,
-    track_callees: bool = False,
-    slot_env: Optional[Dict[int, Any]] = None,
-) -> TraceModule:
-    """Generate (without executing) one code object's trace module.
-
-    *name_prefix* namespaces the trace function names (the AOT emitter
-    packs every code object's traces into one module); *consts* lets
-    callers share a const pool across code objects the same way.
-    *slot_env* (with ``track_callees``) is this code's proven
-    closure-slot contents — see
-    :func:`repro.vm.callgraph.closure_slot_callees`.
-    """
+def build_trace_module(code, cost_model, cp_index: int) -> TraceModule:
+    """Generate (without executing) one code object's trace module."""
     instrs = predecode_code(code)
-    if consts is None:
-        consts = _ConstPool()
+    consts = _ConstPool()
     load_latency = cost_model.load_latency
     store_extra = cost_model.store_cost - 1
-    callees: Optional[Dict[Tuple[int, int], Any]] = (
-        {} if track_callees else None
-    )
 
     def writer(start: int) -> _TraceWriter:
         return _TraceWriter(
-            f"{name_prefix}{start}", consts, cp_index, load_latency, store_extra
+            f"_b{start}", consts, cp_index, load_latency, store_extra
         )
 
     sources: List[str] = []
     records: List[Tuple[int, str, Any]] = []
-    for start, wtr, exits in _build_traces(instrs, writer, callees, slot_env):
+    for start, wtr, exits in _build_traces(instrs, writer):
         sources.append(wtr.source())
         records.append((start, wtr.name, exits))
 
     return TraceModule(
-        len(instrs), tuple(records), "\n\n".join(sources), consts.values,
-        callees,
+        len(instrs), tuple(records), "\n\n".join(sources), consts.values
     )
 
 

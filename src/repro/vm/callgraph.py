@@ -26,7 +26,7 @@ familiar name-keyed dict view.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.astnodes import CodeObject
 
@@ -124,138 +124,3 @@ def classify(code: CodeObject, made_call: bool) -> str:
         return "syntactic-internal"
     return "non-syntactic-internal"
 
-
-#: Poison marker for a closure slot with conflicting or unknown stores.
-_CONFLICT = object()
-
-
-def closure_slot_callees(
-    codes,
-) -> Dict[CodeObject, Dict[int, CodeObject]]:
-    """Whole-program closure-slot analysis for the AOT emitter.
-
-    For each code object X, determine which slots of X's closures
-    provably hold a closure of exactly one statically-known code across
-    *every* closure of X the program can create.  Closures are created
-    only by ``closure``/``clo_alloc`` and slots are written only by
-    those creations and ``clo_set``, so scanning every store site is
-    exhaustive: a slot whose stores all carry closures of the same code
-    Y maps to Y; any unknown or conflicting store poisons the slot.  If
-    a ``clo_set`` base closure cannot be identified, the whole analysis
-    is abandoned (the store could target any slot of any code).
-
-    Register knowledge is tracked per basic block (reset at every
-    branch/jump target and return address), which is conservative and
-    sound: the recursive-binding pattern the allocator emits
-    (``clo_alloc`` then ``clo_set`` backpatching in the same block)
-    resolves, and everything murkier degrades to "not proven" — never
-    to a wrong callee.  The result feeds :func:`proves_direct_call`
-    through the trace builder's callee tracking
-    (:func:`repro.vm.blockcompile.build_trace_module` with
-    ``track_callees``, which only the AOT emitter asks for).
-    """
-    # Lazy import: this function runs at build time only; the runtime
-    # slice an emitted module pulls in must not grow by it.
-    from repro.vm import predecode as P
-
-    prim_ops = (
-        P.OP_PRIM0, P.OP_PRIM1, P.OP_PRIM2, P.OP_PRIM3, P.OP_PRIMN,
-        P.OP_PRIMX,
-    )
-    stores: Dict[Tuple[int, int], Any] = {}
-    by_id: Dict[int, CodeObject] = {}
-
-    def record(base: CodeObject, slot: int, value: Optional[CodeObject]):
-        by_id[id(base)] = base
-        key = (id(base), slot)
-        if value is None:
-            stores[key] = _CONFLICT
-        else:
-            seen = stores.get(key)
-            if seen is None:
-                stores[key] = value
-            elif seen is not value:
-                stores[key] = _CONFLICT
-
-    for code in codes:
-        instrs = P.predecode_code(code)
-        leaders = set()
-        for pc, ins in enumerate(instrs):
-            op = ins[0]
-            if op == P.OP_BRF or op == P.OP_BRT:
-                leaders.add(ins[2])
-                leaders.add(pc + 1)
-            elif op == P.OP_LDBRF or op == P.OP_LDBRT:
-                leaders.add(ins[4])
-                leaders.add(pc + 1)
-            elif op == P.OP_JMP:
-                leaders.add(ins[1])
-            elif op == P.OP_CALL or op == P.OP_CALLCC:
-                leaders.add(pc + 1)
-
-        defs: Dict[int, CodeObject] = {}
-        for pc, ins in enumerate(instrs):
-            if pc in leaders:
-                defs = {}
-            op = ins[0]
-            if op == P.OP_CLOSURE:
-                for i, src in enumerate(ins[3]):
-                    record(ins[2], i, defs.get(src))
-                defs[ins[1]] = ins[2]
-            elif op == P.OP_CLO_ALLOC:
-                defs[ins[1]] = ins[2]
-            elif op == P.OP_CLO_SET:
-                base = defs.get(ins[1])
-                if base is None:
-                    # A slot store through an unidentified closure could
-                    # hit anything: no proof survives.
-                    return {}
-                record(base, ins[2], defs.get(ins[3]))
-            elif op == P.OP_MOV:
-                value = defs.get(ins[2])
-                if value is None:
-                    defs.pop(ins[1], None)
-                else:
-                    defs[ins[1]] = value
-            elif op == P.OP_MOVM:
-                for dst, src in ins[1]:
-                    value = defs.get(src)
-                    if value is None:
-                        defs.pop(dst, None)
-                    else:
-                        defs[dst] = value
-            elif op == P.OP_LDM:
-                for dst, _slot, _kind in ins[1]:
-                    defs.pop(dst, None)
-            elif op in (
-                P.OP_LD, P.OP_LI, P.OP_LD_OUT, P.OP_CLO_REF,
-                P.OP_LDBRF, P.OP_LDBRT, *prim_ops,
-            ):
-                defs.pop(ins[1], None)
-            # Stores, branches, jumps, calls, returns, halt write no
-            # register (call clobbers are covered by the pc+1 leader
-            # reset).
-
-    result: Dict[CodeObject, Dict[int, CodeObject]] = {}
-    for (base_id, slot), value in stores.items():
-        if value is _CONFLICT:
-            continue
-        result.setdefault(by_id[base_id], {})[slot] = value
-    return result
-
-
-def proves_direct_call(callee: Optional[CodeObject], argc: int) -> bool:
-    """Whether a call site may be collapsed into a direct transfer.
-
-    *callee* is what the trace builder proved the closure-pointer
-    register holds at the site (None when nothing is proven — the
-    closure came from a load, a move, or another trace).  Collapsing is
-    sound only when the proof exists **and** the site's argument count
-    matches the callee's arity, because the dynamic dispatch path the
-    collapse removes is exactly the closure type test plus that arity
-    check.  An arity mismatch must keep the dynamic path so the runtime
-    error message is identical to the interpreted loops'.  The AOT
-    emitter (:mod:`repro.vm.aotemit`) consults this for every
-    call/tail-call exit.
-    """
-    return callee is not None and len(callee.params) == argc

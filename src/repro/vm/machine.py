@@ -15,9 +15,9 @@ Two dispatch loops execute the same semantics:
   only loop with the poison-checking ``debug`` mode, and the baseline
   the fast path's speedup is measured against.
 * ``_run_fast`` — the **fast loop** (``CompilerConfig.vm_fast``, the
-  default): the block trampoline :func:`repro.vm.aotrt.run_blocks`,
-  shared with AOT-emitted modules, over one block per extended basic
-  block of the pre-decoded, superinstruction-fused stream
+  default): the block trampoline
+  :func:`repro.vm.trampoline.run_blocks` over one block per extended
+  basic block of the pre-decoded, superinstruction-fused stream
   (``repro.vm.predecode``).  It is tiered: a code object runs in the
   step tier (``repro.vm.blockcompile.step_blocks``, recorded traces
   that one generic interpreter runs) until the run's transfers into it
@@ -51,9 +51,9 @@ from repro.runtime.primitives import PRIMITIVES
 from repro.runtime.values import OutputPort, SchemeError
 
 # The VM's runtime value types and the stack-release policy constants
-# live in repro.vm.aotrt (the compiler-free runtime slice shared with
-# AOT-emitted modules); this module remains their public import path.
-from repro.vm.aotrt import (  # noqa: F401 - re-exported public API
+# live in repro.vm.trampoline beside the trampoline that uses them;
+# this module remains their public import path.
+from repro.vm.trampoline import (  # noqa: F401 - re-exported public API
     POISON,
     STACK_HEADROOM,
     STACK_MIN_CAPACITY,
@@ -526,7 +526,7 @@ class Machine:
     # ------------------------------------------------------------------
 
     def _run_fast(self) -> Any:
-        """The fast loop: :func:`repro.vm.aotrt.run_blocks` over each
+        """The fast loop: :func:`repro.vm.trampoline.run_blocks` over each
         code object's block table.  A code object that has no trace
         table yet runs its step table (:func:`step_blocks`) until this
         run's transfers into it reach :data:`TIER_THRESHOLD`; the loader

@@ -14,7 +14,7 @@ instruction list once, at first execution, into a flat tuple stream.
 It is the front half of the fast path: ``repro.vm.blockcompile``
 consumes the decoded stream and compiles each extended basic block
 into one generated Python function, which the block trampoline
-(:func:`repro.vm.aotrt.run_blocks`) calls one after another.  The
+(:func:`repro.vm.trampoline.run_blocks`) calls one after another.  The
 decoded form is what makes that codegen simple:
 
 * opcodes become small ints (the ``OP_*`` constants below), so the

@@ -1,39 +1,26 @@
-"""The runtime slice: the block trampoline and everything it needs,
-compiler-free.
+"""The block trampoline and the VM's runtime types.
 
-``repro aot build`` (:mod:`repro.vm.aotemit`) turns a compiled program
-into one generated Python module — traces as top-level functions, code
-objects as :class:`AotCode` instances — that runs with **no compiler
-in-process**: importing it pulls in only the runtime slice of the
-package (primitives, datums, counters, the activation classifier, and
-this module).  So the VM's runtime pieces live here, not in
-:mod:`repro.vm.machine` (which re-exports them):
+:mod:`repro.vm.machine` re-exports everything public here; the
+trampoline lives in its own module so that :mod:`repro.vm.blockcompile`
+can import the exit protocol without importing the machine.
 
 * :class:`VMClosure`, :class:`VMContinuation`, :data:`POISON`,
   :class:`VMError`, and the stack-release policy constants;
 * the trace exit protocol — exit kinds (``K_*``) and
   counter-accumulator slots (``ACC_*``) — which
   :mod:`repro.vm.blockcompile` imports to generate traces against;
-* :func:`run_blocks`, the one block trampoline.  The in-process fast
-  loop (``Machine._run_fast``) runs it with a tiered loader: a code
+* :func:`run_blocks`, the one block trampoline.  The fast loop
+  (``Machine._run_fast``) runs it with a tiered loader: a code
   object's step table while it is cold, its trace table (compiled
-  once, then cached) when it turns hot; :func:`run_program` runs it
-  over an emitted module's prebuilt tables.
+  once, then cached) when it turns hot.
 
-Emitted tables may carry two exit kinds the in-process compiler never
-produces: :data:`K_CALL_DIRECT` and :data:`K_TAIL_DIRECT` mark call
-sites whose callee ``vm/callgraph.py`` proved statically, so the
-trampoline skips the closure type test and arity check.  Counters,
-cycles, values, and output are bit-identical to the legacy loop
-(``tests/vm/test_predecode_equiv.py`` and ``tests/vm/test_aot.py``).
+Counters, cycles, values, and output are bit-identical to the legacy
+loop (``tests/vm/test_predecode_equiv.py`` and ``tests/vm/test_tiers.py``).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.runtime.values import OutputPort, SchemeError
 from repro.vm.callgraph import ActivationClassifier
@@ -59,8 +46,6 @@ K_TAIL = 2    # tail call: `arg` is argc
 K_CALLCC = 3  # continuation capture: `arg` is return_pc
 K_RET = 4     # procedure return
 K_HALT = 5    # program end
-K_CALL_DIRECT = 6  # proven call (emitted modules only): `arg` is (code, return_pc)
-K_TAIL_DIRECT = 7  # proven tail call (emitted modules only): `arg` is code
 
 # Accumulator slots shared between exit `counts` tuples and the
 # trampoline's 20-element `acc` list.  0-8 are scalar counters, 9-13
@@ -138,122 +123,6 @@ def name_procedure(exc: SchemeError, code: Any) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The emitted module's object model.
-
-
-class AotCode:
-    """A procedure in an emitted module: the slice of a ``CodeObject``
-    the trampoline and the classifier read (name and label, parameter
-    names, frame size, the classifier's two static flags) plus its
-    prebuilt trace table.  ``fast_blocks`` maps trace-leader pc ->
-    ``(fn, exits)`` exactly like a code object's ``fast_blocks`` list,
-    but as a dict (emitted modules only spell the leaders)."""
-
-    __slots__ = (
-        "name", "label", "params", "frame_size",
-        "syntactic_leaf", "always_calls", "fast_blocks",
-    )
-
-    def __init__(
-        self,
-        name: str,
-        label: str,
-        params: Tuple[str, ...],
-        frame_size: int,
-        syntactic_leaf: bool,
-        always_calls: bool,
-    ) -> None:
-        self.name = name
-        self.label = label
-        self.params = params
-        self.frame_size = frame_size
-        self.syntactic_leaf = syntactic_leaf
-        self.always_calls = always_calls
-        self.fast_blocks: Dict[int, Tuple[Any, Any]] = {}
-
-    def __repr__(self) -> str:
-        return f"<AotCode {self.label}>"
-
-
-class AotProgram:
-    """The whole emitted program: entry point, register-file geometry,
-    cost-model scalars, and provenance (source cache key, config
-    fingerprint, emitter version) — everything :func:`run_program`
-    needs, baked at build time."""
-
-    __slots__ = (
-        "entry", "codes", "nregs", "a0", "ret", "cp", "rv",
-        "call_overhead", "predict", "penalty", "kind_names",
-        "direct_calls", "call_sites", "source_key", "fingerprint",
-        "version",
-    )
-
-    def __init__(
-        self,
-        entry: AotCode,
-        codes: Tuple[AotCode, ...],
-        nregs: int,
-        a0: Optional[int],
-        ret: int,
-        cp: int,
-        rv: int,
-        call_overhead: int,
-        predict: bool,
-        penalty: int,
-        kind_names: Tuple[str, ...],
-        direct_calls: int = 0,
-        call_sites: int = 0,
-        source_key: str = "",
-        fingerprint: str = "",
-        version: str = "",
-    ) -> None:
-        self.entry = entry
-        self.codes = codes
-        self.nregs = nregs
-        self.a0 = a0
-        self.ret = ret
-        self.cp = cp
-        self.rv = rv
-        self.call_overhead = call_overhead
-        self.predict = predict
-        self.penalty = penalty
-        self.kind_names = kind_names
-        self.direct_calls = direct_calls
-        self.call_sites = call_sites
-        self.source_key = source_key
-        self.fingerprint = fingerprint
-        self.version = version
-
-
-class AotResult:
-    """What one AOT run produced (the runtime analogue of
-    ``repro.pipeline.ExecutionResult``)."""
-
-    __slots__ = (
-        "value", "output", "counters", "classifier",
-        "stack_capacity", "stack_shrinks",
-    )
-
-    def __init__(self, value, output, counters, classifier,
-                 stack_capacity, stack_shrinks) -> None:
-        self.value = value
-        self.output = output
-        self.counters = counters
-        self.classifier = classifier
-        self.stack_capacity = stack_capacity
-        self.stack_shrinks = stack_shrinks
-
-
-def datum(text: str) -> Any:
-    """Parse one datum literal baked into an emitted module's const
-    pool (the emitter spells non-trivial immediates as their written
-    form; ``write_datum``/``read`` round-trip exactly)."""
-    from repro.sexp.reader import read
-
-    return read(text)
-
-
-# ---------------------------------------------------------------------------
 # The trampoline.
 
 
@@ -295,7 +164,7 @@ def _flush(acc: List[int], counters: Counters, kind_names: Sequence[str]) -> Non
 
 def run_blocks(
     entry: Any,
-    load: Optional[Callable[[Any], Any]],
+    load: Callable[[Any], Any],
     *,
     nregs: int,
     a0: Optional[int],
@@ -318,11 +187,10 @@ def run_blocks(
     Each code's trace table is its ``fast_blocks``; ``load(code)``
     supplies a table for a code that has none yet (``None``; a built
     table is never empty), at every transfer into it until it caches
-    one there — in-process, a step table while the code is cold and a
-    trace table once it is hot; never for emitted modules, which carry
-    every table.  The loop does one
-    indexed fetch and one call per trace and performs every control
-    transfer with the legacy loop's semantics.  Counter deltas
+    one there: a step table while the code is cold and a trace table
+    once it is hot.  The loop does one indexed fetch and one call per
+    trace and performs every control transfer with the legacy loop's
+    semantics.  Counter deltas
     accumulate locally and are flushed into *counters* at the end and,
     under a *profiler*, at every procedure transition.  A
     ``SchemeError`` leaves named with the procedure that raised it.
@@ -533,40 +401,6 @@ def run_blocks(
                 frame_size = target.frame_size
                 blocks = target.fast_blocks or load(target)
                 pc = 0
-            elif kind == K_CALL_DIRECT:
-                # Emitter-proven call: the callee closure's code and
-                # arity were checked at build time, so no dynamic
-                # dispatch.
-                cycle += call_overhead
-                target, ret_pc = barg
-                regs[ret] = (code, ret_pc)
-                new_sp = sp + frame_size
-                limit = new_sp + target.frame_size + 64
-                if limit >= len(stack):
-                    stack.extend([None] * (limit - len(stack) + 256))
-                sp = new_sp
-                classifier.on_call(target)
-                if profiler is not None:
-                    _flush(acc, counters, kind_names)
-                    profiler.switch(target, cycle, executed)
-                code = target
-                frame_size = target.frame_size
-                blocks = target.fast_blocks or load(target)
-                pc = 0
-            elif kind == K_TAIL_DIRECT:
-                cycle += call_overhead
-                target = barg
-                limit = sp + target.frame_size + 64
-                if limit >= len(stack):
-                    stack.extend([None] * (limit - len(stack) + 256))
-                classifier.on_tail_call(target)
-                if profiler is not None:
-                    _flush(acc, counters, kind_names)
-                    profiler.switch(target, cycle, executed)
-                code = target
-                frame_size = target.frame_size
-                blocks = target.fast_blocks or load(target)
-                pc = 0
             else:  # K_HALT
                 result = regs[rv]
                 classifier.finish()
@@ -582,83 +416,3 @@ def run_blocks(
         profiler.finish(cycle, executed)
     return result, len(stack), shrinks
 
-
-def run_program(
-    program: AotProgram, max_instructions: Optional[int] = None
-) -> AotResult:
-    """Execute an emitted program: :func:`run_blocks` over its prebuilt
-    tables, unprofiled."""
-    counters = Counters()
-    classifier = ActivationClassifier()
-    port = OutputPort()
-    value, capacity, shrinks = run_blocks(
-        program.entry,
-        None,
-        nregs=program.nregs,
-        a0=program.a0,
-        ret=program.ret,
-        cp=program.cp,
-        rv=program.rv,
-        kind_names=program.kind_names,
-        call_overhead=program.call_overhead,
-        predict=program.predict,
-        penalty=program.penalty,
-        counters=counters,
-        classifier=classifier,
-        port=port,
-        max_instructions=max_instructions,
-    )
-    return AotResult(
-        value, port.contents(), counters, classifier, capacity, shrinks
-    )
-
-
-# ---------------------------------------------------------------------------
-# The emitted module's __main__ entry.
-
-
-def main(program: AotProgram, argv: Optional[List[str]] = None) -> int:
-    """CLI for an emitted module (``python whatever_aot.py [--json]``).
-    ``--json`` reports value/output/counters plus the list of loaded
-    ``repro.*`` modules, which the AOT smoke checks to prove the
-    compiler stayed out of the process."""
-    from repro.sexp.writer import write_datum
-
-    parser = argparse.ArgumentParser(
-        description=f"AOT-compiled repro program (source {program.source_key[:12]})"
-    )
-    parser.add_argument("--json", action="store_true", help="JSON report")
-    parser.add_argument(
-        "--max-instructions", type=int, default=None, metavar="N",
-        help="instruction budget",
-    )
-    args = parser.parse_args(argv)
-    try:
-        result = run_program(program, max_instructions=args.max_instructions)
-    except SchemeError as exc:
-        print(f"scheme error: {exc}", file=sys.stderr)
-        return 2
-    except VMError as exc:
-        print(f"vm error: {exc}", file=sys.stderr)
-        return 3
-    if args.json:
-        doc = {
-            "value": write_datum(result.value),
-            "output": result.output,
-            "counters": result.counters.as_dict(),
-            "activations": result.classifier.counts,
-            "direct_calls": program.direct_calls,
-            "call_sites": program.call_sites,
-            "fingerprint": program.fingerprint,
-            "version": program.version,
-            "repro_modules": sorted(
-                name for name in sys.modules
-                if name == "repro" or name.startswith("repro.")
-            ),
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        if result.output:
-            sys.stdout.write(result.output)
-        print(write_datum(result.value))
-    return 0

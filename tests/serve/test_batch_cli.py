@@ -123,6 +123,20 @@ def test_request_file_bad_line(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_request_file_mistyped_field(tmp_path, capsys):
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text(
+        json.dumps({"id": "a", "op": "run", "source": "(+ 1 2)"}) + "\n"
+        + json.dumps({"id": "b", "op": "run", "source": "(+ 1 2)", "timeout": "x"})
+        + "\n"
+    )
+    code, out, err = _batch(capsys, str(requests), "--no-cache")
+    assert code == 1
+    assert out == ""
+    assert "bad request on line 2" in err
+    assert "timeout" in err
+
+
 def test_batch_per_line_output(tmp_path, capsys):
     code, out, err = _batch(
         capsys, "--bench", "tak", "--cache-dir", str(tmp_path)

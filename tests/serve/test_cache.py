@@ -93,7 +93,6 @@ FIELD_MUTATIONS = {
     "save_convention": "callee",
     "branch_prediction": "static-calls",
     "vm_fast": False,
-    "aot_direct_calls": False,
     "cost_model": CostModel(load_latency=5),
 }
 
@@ -135,10 +134,12 @@ def test_from_dict_rejects_unknown_fields():
         CompilerConfig.from_dict({"num_arg_regs": 6, "turbo": True})
 
 
-def test_from_dict_rejects_the_retired_artifact_knob():
-    # The executable-artifact tier is gone, and its knob with it.
-    with pytest.raises(ValueError, match="artifact_cache"):
-        CompilerConfig.from_dict({"artifact_cache": True})
+@pytest.mark.parametrize("knob", ["artifact_cache", "aot_direct_calls"])
+def test_from_dict_rejects_the_retired_artifact_knob(knob):
+    # The executable-artifact tier and the AOT emitter are gone, and
+    # their knobs with them.
+    with pytest.raises(ValueError, match=knob):
+        CompilerConfig.from_dict({knob: True})
 
 
 # -- serialization ------------------------------------------------------

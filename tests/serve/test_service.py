@@ -16,6 +16,34 @@ def test_request_rejects_unknown_op():
         Request(op="transmogrify", source="(+ 1 2)")
 
 
+#: A field of the wrong JSON type, and the request it spoils.
+MISTYPED = {
+    "source-list": {"source": ["(+ 1 2)"]},
+    "prelude-string": {"source": "(+ 1 2)", "prelude": "no"},
+    "budget-string": {"source": "(+ 1 2)", "max_instructions": "5"},
+    "budget-bool": {"source": "(+ 1 2)", "max_instructions": True},
+    "budget-float": {"source": "(+ 1 2)", "max_instructions": 5.0},
+    "timeout-string": {"source": "(+ 1 2)", "timeout": "x"},
+    "timeout-bool": {"source": "(+ 1 2)", "timeout": False},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISTYPED))
+def test_request_rejects_mistyped_fields(name):
+    with pytest.raises(TypeError):
+        Request.from_dict({"op": "run", **MISTYPED[name]})
+
+
+def test_request_accepts_null_and_numeric_limits():
+    for limits in (
+        {"max_instructions": None, "timeout": None},
+        {"max_instructions": 10, "timeout": 2},
+        {"max_instructions": 10, "timeout": 0.5},
+    ):
+        request = Request.from_dict({"op": "run", "source": GOOD, **limits})
+        assert request.timeout == limits["timeout"]
+
+
 def test_request_dict_round_trip():
     request = Request.from_dict(
         {

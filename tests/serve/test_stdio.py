@@ -398,3 +398,55 @@ def test_subprocess_eof_burst_answers_every_id():
     assert {i: by_id[i]["value"] for i in range(6)} == {
         i: str(i * 2) for i in range(6)
     }
+
+
+#: One request per mistyped field, each with the field's name as its
+#: id.  The timeout one runs long enough to reach the pool's deadline
+#: sweep if it is ever admitted.
+MISTYPED = [
+    {"id": "source", "op": "run", "source": ["(+ 1 2)"]},
+    {"id": "prelude", "op": "run", "source": "(+ 1 2)", "prelude": "no"},
+    {"id": "max_instructions", "op": "run", "source": "(+ 1 2)", "max_instructions": "5"},
+    {"id": "timeout", "op": "run", "source": SLOW, "timeout": "x"},
+]
+
+
+def test_mistyped_fields_are_protocol_errors_at_the_door():
+    docs, code = _serve(
+        [
+            {"id": "before", "op": "stats"},
+            *MISTYPED,
+            {"id": "after", "op": "stats"},
+            {"id": "next", "op": "run", "source": "(+ 20 22)"},
+            {"op": "shutdown"},
+        ]
+    )
+    assert code == 0
+    by_id = _by_id(docs)
+    for request in MISTYPED:
+        response = by_id[request["id"]]
+        assert response["error_kind"] == "protocol", response
+        assert request["id"] in response["error"]  # names the field
+    # None of them reached the pool.
+    submitted = [by_id[i]["stats"]["pool"]["submitted"] for i in ("before", "after")]
+    assert submitted[0] == submitted[1]
+    assert by_id["next"]["value"] == "42"
+
+
+def test_subprocess_mistyped_timeout_leaves_the_daemon_up():
+    # A string timeout on a long run once reached the pool, whose
+    # deadline sweep raised on it and killed the bridge thread: the
+    # next request went unanswered and the daemon never exited.
+    proc = _daemon()
+    lines = [MISTYPED[-1], {"id": "next", "op": "run", "source": "(+ 20 22)"},
+             {"op": "shutdown"}]
+    try:
+        out, err = proc.communicate(
+            "".join(json.dumps(line) + "\n" for line in lines).encode(), timeout=60
+        )
+    finally:
+        proc.kill()
+    assert proc.returncode == 0, err.decode()
+    by_id = _by_id([json.loads(line) for line in out.decode().splitlines()])
+    assert by_id["timeout"]["error_kind"] == "protocol"
+    assert by_id["next"]["value"] == "42"
